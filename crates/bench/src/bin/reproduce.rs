@@ -12,7 +12,14 @@
 
 use std::time::Instant;
 
+use bdbms_bench::alloc_count::CountingAlloc;
 use bdbms_bench::{all_experiments, e12_sbc_tree};
+
+/// Counts heap allocations inside `alloc_count::count` (e13's exact
+/// allocation gate); everywhere else it is `System` plus one
+/// thread-local flag check.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Flags the harness understands; anything else starting with `--` is
 /// rejected (a typo like `--jsn` silently falling through to console

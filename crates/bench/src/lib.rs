@@ -6,8 +6,14 @@
 //! rows are printed by the `reproduce` binary and recorded in
 //! EXPERIMENTS.md.  Criterion wall-time benches live in `benches/`.
 
+pub mod alloc_count;
 pub mod report;
 pub mod workloads;
+
+// unit tests count allocations too (the e13 allocation gate's shape test)
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
 
 pub mod e01_dependency_concept;
 pub mod e02_figure2;

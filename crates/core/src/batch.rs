@@ -1,10 +1,9 @@
-//! Batch-at-a-time (vectorized) operators.
+//! Batch-at-a-time (vectorized) operators: the executor's only
+//! operator set.
 //!
-//! The Volcano pipeline in [`crate::executor`] pays a virtual call, a
-//! stats borrow, and an interpreted expression walk *per row per
-//! operator*.  This module is the MonetDB/X100-style alternative the
-//! `batch` toggle of [`ExecOptions`](crate::executor::ExecOptions)
-//! selects (the default): every operator implements
+//! A row-at-a-time (Volcano) pipeline pays a virtual call, a stats
+//! borrow, and an interpreted expression walk *per row per operator*.
+//! These operators are MonetDB/X100-style instead: every one implements
 //!
 //! ```text
 //! fn next_batch(&mut self, demand: usize) -> Result<Option<Batch>>
@@ -14,14 +13,13 @@
 //! bookkeeping amortize across the batch and predicates run as
 //! per-conjunct tight loops over a selection vector.  `demand` makes the
 //! pull *demand-driven*: a pushed `LIMIT k` asks its child for exactly
-//! `k` tuples, which keeps filterless scans' fetch counts as exact as
-//! the row path's.
+//! `k` tuples, which keeps filterless scans' fetch counts exact
+//! (`rows_fetched == k`).
 //!
-//! Plan decisions, result multisets, and error values are identical to
-//! the row path (the differential proptest suite pins this); the row
-//! counters in `ExecStats` advance in batch granularity instead of row
-//! granularity.  See `docs/EXECUTOR.md` for the operator catalog and
-//! how to add one.
+//! Results and error codes are pinned against an independent reference
+//! evaluator (`tests/batch_differential.rs`); the row counters in
+//! `ExecStats` advance in batch granularity.  See `docs/EXECUTOR.md` for
+//! the operator catalog and how to add one.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -108,16 +106,16 @@ impl<'a> BatchOp<'a> for Box<dyn BatchOp<'a> + 'a> {
 // ---------------------------------------------------------------------------
 
 /// A scan's access path, chosen at assembly time by the executor's
-/// `scan_base_batch`.
+/// `scan_base`.
 pub(crate) enum ScanBase<'a> {
-    /// Index/seq-index probes (and value-dependent probes): the same
-    /// row-at-a-time streams the row pipeline uses.
+    /// Index/seq-index probes (and value-dependent probes): a row-id
+    /// stream, fetched one tuple at a time and batched up here.
     Stream(RowValueStream<'a>),
     /// Vectorized full scan: [`BatchScan`] asks the table for a whole
     /// chunk per pull, decoded in place in the buffer pool and pruned to
     /// `keep` (the planner's value columns — every other slot is
-    /// provably unread and left NULL).  This is where the batch pipeline
-    /// stops paying the row path's per-row record copy and full decode.
+    /// provably unread and left NULL), with no per-row record copy and
+    /// no full decode.
     Chunk {
         table: &'a crate::catalog::Table,
         /// Next row number to fetch.
@@ -129,19 +127,17 @@ pub(crate) enum ScanBase<'a> {
 }
 
 /// Scan: wraps the access path chosen at assembly time
-/// ([`crate::executor`]'s `scan_base_batch`), fetches up to `demand`
-/// tuples — a whole chunk at once on full scans —
-/// then re-checks the pushed conjuncts in per-conjunct tight loops over
-/// the selection vector.  Eager annotation mode attaches to survivors
-/// here (matching the row path, which attaches pre-filter but only
-/// observably differs in `anns_attached` totals when rows are rejected —
-/// which eager runs of the regression suite pin, so survivors-only is
-/// wrong there: see below).
+/// ([`crate::executor`]'s `scan_base`), fetches up to `demand` tuples —
+/// a whole chunk at once on full scans — then re-checks the pushed
+/// conjuncts in per-conjunct tight loops over the selection vector.
+/// Eager annotation mode (`ExecOptions::naive`) attaches *before* the
+/// pushed conjuncts run, so `anns_attached` counts every fetched row,
+/// rejected ones included — the cost the naive baseline is measured by.
 pub(crate) struct BatchScan<'a> {
     base: ScanBase<'a>,
     pushed: Vec<CExpr>,
-    /// Eager-mode attacher (applied pre-filter for row-path parity of
-    /// `anns_attached`).
+    /// Eager-mode attacher, applied to every fetched row before the
+    /// pushed conjuncts.
     attach: Option<SourceAttach<'a>>,
     arity: usize,
     st: Rc<RefCell<ExecStats>>,
@@ -212,10 +208,10 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
         let rows: Vec<PipeRow> = fetched
             .into_iter()
             .map(|(row_no, values)| {
-                // eager mode attaches pre-filter, like the row path
+                // eager mode attaches pre-filter: every fetched row
                 let anns = attach.as_mut().map(|a| {
                     let mut slots = vec![Vec::new(); arity];
-                    attached += a.attach_into_buf(row_no, &mut slots);
+                    attached += a.attach_into(row_no, &mut slots);
                     slots
                 });
                 PipeRow {
@@ -264,9 +260,9 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
     }
 }
 
-/// Drain a build-side scan to its live rows (assembly-time
-/// materialization of hash-join build sides, matching the row path's
-/// error timing).
+/// Drain a build-side scan to its live rows (hash-join build sides are
+/// materialized at assembly time, so their errors surface before the
+/// first pull).
 pub(crate) fn drain_build<'a>(mut scan: impl BatchOp<'a>) -> Result<Vec<PipeRow>> {
     let mut out = Vec::new();
     while let Some(b) = scan.next_batch(BATCH_SIZE)? {
@@ -452,7 +448,7 @@ impl<'a> BatchOp<'a> for BatchAttach<'a> {
             if row.anns.is_none() {
                 let mut slots = vec![Vec::new(); self.total_arity];
                 for (si, attacher) in self.attachers.iter_mut().enumerate() {
-                    attached += attacher.attach_into_buf(row.rows[si], &mut slots);
+                    attached += attacher.attach_into(row.rows[si], &mut slots);
                 }
                 row.anns = Some(slots);
             }
@@ -567,8 +563,7 @@ fn project_pipe_row(
 }
 
 /// Project a batch's live rows into `out`.  On error, rows projected
-/// before the failing one remain in `out` (the cursor path yields them
-/// before surfacing the error, like the row path's per-row ordering).
+/// before the failing one remain in `out`.
 pub(crate) fn project_batch_into(
     compiled: &[CExpr],
     item_cols: &[Vec<usize>],
@@ -587,8 +582,8 @@ pub(crate) fn project_batch_into(
     Ok(())
 }
 
-/// Drain an operator tree into materialized [`AnnRow`]s (the batch
-/// fallback for output stages that reuse row-path code).
+/// Drain an operator tree into materialized [`AnnRow`]s (for the
+/// generic group stage, `executor::aggregate_rows`).
 pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>, total_arity: usize) -> Result<Vec<AnnRow>> {
     let mut out = Vec::new();
     while let Some(b) = op.next_batch(BATCH_SIZE)? {
@@ -612,8 +607,8 @@ pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>, total_arity: usize) -> Re
 /// out rows one at a time.  Construction pulls **nothing** — the first
 /// batch is fetched on the first `next()` (the session tests pin
 /// `rows_fetched == 0` right after opening a cursor).  Per-row
-/// projection errors are buffered in sequence, exactly like the row
-/// path's per-row map.
+/// projection errors are buffered in sequence: the rows before a
+/// failing one are still handed out first.
 pub(crate) struct BatchCursorStream<'a> {
     op: Box<dyn BatchOp<'a> + 'a>,
     compiled: Vec<CExpr>,
@@ -689,21 +684,21 @@ enum ItemKind {
     Agg(AggFunc, Option<CExpr>),
 }
 
-/// Incremental replica of the row path's per-group aggregate evaluation
-/// (`eval_group`): counts non-null inputs, tracks int-ness and the
-/// float total the same way, and keeps min/max by `Ord`.
+/// Incremental replica of the generic per-group aggregate evaluation
+/// (`executor::eval_group`): counts non-null inputs, tracks int-ness and
+/// the float total the same way, and keeps min/max by `Ord`.
 struct AggAcc {
     f: AggFunc,
     /// Non-null input count (COUNT(*) counts every row via `Int(1)`).
     n: u64,
     all_int: bool,
     /// Sum over `as_float()`-convertible inputs (others contribute 0,
-    /// like the row path's `filter_map(as_float)`).
+    /// like `eval_group`'s `filter_map(as_float)`).
     total: f64,
     /// Running min/max (only maintained for Min/Max).
     best: Option<Value>,
-    /// First evaluation error, deferred to finalization (row-path error
-    /// timing: errors surface after the pipeline is fully drained).
+    /// First evaluation error, deferred to finalization: errors surface
+    /// after the pipeline is fully drained.
     err: Option<BdbmsError>,
 }
 
@@ -713,9 +708,9 @@ impl AggAcc {
             f,
             n: 0,
             all_int: true,
-            // -0.0 is `<f64 as Sum>`'s identity: an empty row-path sum
-            // (e.g. SUM over values with no float form) yields -0.0,
-            // and the batch path must reproduce it bit-for-bit
+            // -0.0 is `<f64 as Sum>`'s identity: `eval_group`'s empty sum
+            // (e.g. SUM over values with no float form) yields -0.0, and
+            // the accumulator must agree with it bit-for-bit
             total: -0.0,
             best: None,
             err: None,
@@ -785,8 +780,8 @@ struct Group {
 /// Eligible when there is no HAVING/AHAVING, the GROUP BY keys resolve,
 /// and every item is either aggregate-free or a *top-level* aggregate;
 /// anything else returns `None` from [`try_new`](Self::try_new) and the
-/// executor falls back to materializing + the row path's group stage,
-/// which preserves row-path error ordering exactly.
+/// executor falls back to materializing + the generic group stage
+/// (`executor::aggregate_rows`), which orders errors the same way.
 pub(crate) struct BatchAggregator {
     key_idxs: Vec<usize>,
     kinds: Vec<ItemKind>,
@@ -919,7 +914,7 @@ impl BatchAggregator {
         }
     }
 
-    /// Finalize: surface deferred errors in row-path order (groups in
+    /// Finalize: surface deferred errors in evaluation order (groups in
     /// insertion order; per item, the value error before the
     /// annotation-column error) and emit one row per group.
     pub(crate) fn finish(mut self) -> Result<Vec<AnnRow>> {
