@@ -669,4 +669,59 @@ mod tests {
         let id = set.add("x", "u", 1, &[0, 0, 1], &[0]);
         assert_eq!(set.ids_for_cell(0, 0), vec![id]);
     }
+
+    // ---- golden bytes ----
+    //
+    // The checkpoint encoding of an annotation set, pinned byte for byte
+    // for both attachment schemes: an image written by an older build
+    // must reopen on a newer one.
+
+    fn golden_set(cell_scheme: bool) -> AnnotationSet {
+        let mut set = AnnotationSet::new("GAnnotation", cell_scheme);
+        set.add("Curated by user admin", "admin", 1, &[0, 1, 2], &[0, 1]);
+        set.add(
+            "<Annotation>obtained from GenoBase</Annotation>",
+            "alice",
+            2,
+            &[0, 1, 4],
+            &[2],
+        );
+        set.set_archived(&[(4, 2)], None, true);
+        set
+    }
+
+    /// `golden_set(true)`: per-cell scheme (Figure 3).
+    const GOLDEN_CELL_SET: &str = concat!(
+        "0b00000047416e6e6f746174696f6e00000200000000000000020000000000000000000000150000",
+        "004375726174656420627920757365722061646d696e01000000000000000500000061646d696e00",
+        "01000000000000002f0000003c416e6e6f746174696f6e3e6f627461696e65642066726f6d204765",
+        "6e6f426173653c2f416e6e6f746174696f6e3e020000000000000005000000616c69636501000900",
+        "00000000000000000000000000000100000000000000000000000000000000000000010000000100",
+        "00000000000000000000000000000000000002000000010000000100000000000000010000000000",
+        "00000000000001000000000000000000000001000000000000000100000001000000000000000000",
+        "00000100000000000000020000000100000001000000000000000200000000000000000000000100",
+        "00000000000000000000020000000000000001000000010000000000000000000000040000000000",
+        "000002000000010000000100000000000000",
+    );
+
+    /// `golden_set(false)`: rectangle scheme (Figure 5).
+    const GOLDEN_RECT_SET: &str = concat!(
+        "0b00000047416e6e6f746174696f6e00000200000000000000020000000000000000000000150000",
+        "004375726174656420627920757365722061646d696e01000000000000000500000061646d696e00",
+        "01000000000000002f0000003c416e6e6f746174696f6e3e6f627461696e65642066726f6d204765",
+        "6e6f426173653c2f416e6e6f746174696f6e3e020000000000000005000000616c69636501010300",
+        "00000000000001000000000000000000000002000000000000000000000000000000020000000200",
+        "00000000000000000000010000000000000001000000000000000200000002000000040000000000",
+        "000004000000000000000100000000000000",
+    );
+
+    #[test]
+    fn annotation_sets_match_golden_bytes() {
+        for (cell_scheme, want) in [(true, GOLDEN_CELL_SET), (false, GOLDEN_RECT_SET)] {
+            let mut out = Vec::new();
+            golden_set(cell_scheme).encode(&mut out);
+            let got: String = out.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "format drift (cell_scheme = {cell_scheme})");
+        }
+    }
 }

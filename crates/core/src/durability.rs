@@ -2482,4 +2482,108 @@ mod tests {
             let _ = decode_fresh(&frame_body(&body));
         }
     }
+
+    // ---- golden bytes ----
+    //
+    // The on-disk encodings, pinned byte for byte: a WAL written by an
+    // older build must replay on a newer one, and a checkpoint image
+    // must reopen.  Any change here is a format change and needs a new
+    // FORMAT_VERSION, not an edit of these constants.
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// `sample_records()` encoded, one entry per variant, in order.
+    const GOLDEN_WAL_RECORDS: [&str; 27] = [
+        "010400000047656e6503000000000000000300000003060000004a5730303830010b0000000000000000",
+        "020400000047656e65030000000000000001000000020000000000000440",
+        "030400000047656e650900000000000000",
+        "040400000047656e6501000000000000000200000000000000",
+        "050400000047656e6501000000000000000200000000000000",
+        concat!(
+            "060400000047656e6504000000000000000100000004010103000000776879080000000000000005",
+            "000000616c696365",
+        ),
+        "070400000047656e650500000061646d696e020000000300000047494403030000004c656e01",
+        "080400000047656e65",
+        "090400000047656e65070000006c656e5f696478030000004c656e",
+        "0a0400000047656e65070000006c656e5f696478",
+        "0b0400000047656e65080000004375726174696f6e000101",
+        "0c0400000047656e65080000004375726174696f6e",
+        concat!(
+            "0d0400000047656e65080000004375726174696f6e1a0000003c416e6e6f746174696f6e3e783c2f",
+            "416e6e6f746174696f6e3e03000000626f620c000000000000000300000000000000000000000100",
+            "0000000000000500000000000000010000000200000000000000",
+        ),
+        concat!(
+            "0e0400000047656e65080000004375726174696f6e02000000000000000000000002000000000000",
+            "0001000000000000000200000000000000010300000000000000090000000000000001",
+        ),
+        "0f05000000616c69636501000000040000006c616231",
+        "1005000000616c6963650400000047656e65020000000004",
+        "1105000000616c6963650400000047656e650100000002",
+        "120400000047656e650101000000090000006773657175656e6365080000006c616261646d696e",
+        "130400000047656e6500000000",
+        concat!(
+            "1405000000000000000400000047656e6505000000616c6963652c000000000000000b0000005550",
+            "444154452047656e6502020000000000000001000000010000000000000001070000000000000000",
+        ),
+        "15050000000000000000",
+        concat!(
+            "1602000000000000000200000072310400000047656e6501000000090000004753657175656e6365",
+            "0700000050726f7465696e090000005053657175656e6365090000007472616e736c617465010001",
+            "0300000047494403000000474944",
+        ),
+        "17020000007231",
+        "186300000000000000",
+        "190400000047656e65100000002f746d702f67656e65732e66617374610050c3000000000000",
+        "1a0400000047656e65070000007365715f696478090000004753657175656e636500",
+        "1b0400000047656e65070000007365715f696478",
+    ];
+
+    #[test]
+    fn wal_records_match_golden_bytes() {
+        let recs = sample_records();
+        assert_eq!(recs.len(), GOLDEN_WAL_RECORDS.len());
+        for (rec, want) in recs.iter().zip(GOLDEN_WAL_RECORDS) {
+            let mut buf = Vec::new();
+            rec.encode(&mut buf);
+            assert_eq!(hex(&buf), want, "format drift for {rec:?}");
+        }
+    }
+
+    /// `real_snapshot_body()`: the checkpoint metadata of a database
+    /// with one table, two rows, a B+-tree index, and an annotation set.
+    const GOLDEN_SNAPSHOT_BODY: &str = concat!(
+        "05000000000000000c00000000000000010000000500000061646d696e0000000000000000000000",
+        "00000000000000000000000000000000000000000000000000010000000400000047656e65050000",
+        "0061646d696e020000000300000047494403030000004c656e010200000000000000010000000100",
+        "00000000000002000000000000000000000001000000000000000000010000000000000001000000",
+        "00000000010001000000070000006c656e5f69647801000000000000000200000000000000020000",
+        "0000000000000000000000000001000000080000004375726174696f6e0000010000000000000001",
+        "0000000000000000000000080000003c413e783c2f413e05000000000000000500000061646d696e",
+        "0001010000000000000000000000000000000000000001000000000000000000000000000000",
+    );
+
+    #[test]
+    fn snapshot_body_matches_golden_bytes() {
+        assert_eq!(hex(real_snapshot_body()), GOLDEN_SNAPSHOT_BODY);
+        // and the pinned bytes still parse to the end.  The table's heap
+        // pages are not in this empty pool, so its rebuild fails and
+        // salvage mode quarantines it — after every byte was consumed.
+        let blob = frame_body(&unhex(GOLDEN_SNAPSHOT_BODY));
+        let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 64));
+        let mut db = Database::with_pool(pool.clone());
+        let mut quarantined = Vec::new();
+        decode_snapshot_mode(&mut db, &blob, &pool, Some(&mut quarantined)).unwrap();
+        assert_eq!(quarantined, vec!["Gene".to_string()]);
+    }
 }

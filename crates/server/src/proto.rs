@@ -1043,4 +1043,224 @@ mod tests {
         buf.extend_from_slice(&[0x7F, 0x00]); // unknown kind
         assert!(read_request(&mut buf.as_slice()).is_err());
     }
+
+    // ---- golden bytes ----
+    //
+    // One frame of every request and response kind, pinned byte for
+    // byte: a client and a server built from different versions of this
+    // file must still understand each other.  A change here is a
+    // protocol change and needs a new PROTOCOL_VERSION.
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn golden_requests() -> Vec<Request> {
+        vec![
+            Request::Hello {
+                user: "admin".into(),
+            },
+            Request::Prepare {
+                sql: "SELECT GID FROM Gene WHERE Len = ?".into(),
+            },
+            Request::Execute {
+                stmt: 3,
+                params: vec![
+                    Value::Null,
+                    Value::Int(-7),
+                    Value::Float(2.5),
+                    Value::Text("mraW".into()),
+                    Value::Bool(true),
+                    Value::Timestamp(99),
+                ],
+            },
+            Request::Query {
+                stmt: 9,
+                params: vec![Value::Int(11)],
+            },
+            Request::Fetch {
+                cursor: 4,
+                max_rows: 256,
+            },
+            Request::CloseStmt { stmt: 3 },
+            Request::CloseCursor { cursor: 4 },
+            Request::Run {
+                sql: "BEGIN".into(),
+            },
+            Request::SetUser {
+                user: "alice".into(),
+            },
+            Request::Ping,
+            Request::Quit,
+            Request::Metrics,
+        ]
+    }
+
+    fn golden_responses() -> Vec<Response> {
+        let ann = Rc::new(AnnOut {
+            source_table: "Gene".into(),
+            ann_table: "Curation".into(),
+            id: 12,
+            raw: "<A>x</A>".into(),
+            body: XmlNode::parse_or_wrap("<A>x</A>"),
+            created: 42,
+        });
+        let mut row = AnnRow::plain(vec![Value::Text("JW0080".into()), Value::Int(11)]);
+        row.anns[1].push(ann);
+        let result = QueryResult {
+            columns: vec!["GID".into(), "Len".into()],
+            rows: vec![row.clone()],
+            affected: 1,
+            message: Some("ok".into()),
+            stats: Some(ExecStats {
+                rows_fetched: 10,
+                rows_scan_filtered: 3,
+                index_probes: 2,
+                seq_index_probes: 1,
+                full_scans: 4,
+                index_only_scans: 1,
+                anns_attached: 7,
+                chosen_indexes: vec!["len_idx".into()],
+                join_order: vec![1, 0],
+                limit_pushdowns: 1,
+                rows_limit_discarded: 5,
+                scan_batches: 6,
+                parse_ns: 1_000,
+                plan_ns: 2_000,
+                exec_ns: 3_000,
+            }),
+        };
+        vec![
+            Response::HelloOk {
+                version: PROTOCOL_VERSION,
+                server: "bdbms".into(),
+            },
+            Response::PrepareOk {
+                stmt: 1,
+                param_count: 2,
+                in_txn: false,
+            },
+            Response::Result {
+                result,
+                in_txn: true,
+            },
+            Response::CursorOk {
+                cursor: 7,
+                columns: vec!["GID".into()],
+                in_txn: false,
+            },
+            Response::RowBatch {
+                rows: vec![row],
+                done: true,
+            },
+            Response::Ok { in_txn: true },
+            Response::Pong,
+            Response::Bye,
+            Response::Metrics {
+                snapshot: MetricsSnapshot {
+                    counters: vec![("txn.commits".into(), 7)],
+                    gauges: vec![("group.fsync_ema_ns".into(), 125)],
+                    histograms: vec![(
+                        "wal.fsync_latency_ns".into(),
+                        HistogramSnapshot {
+                            count: 3,
+                            sum: 300,
+                            buckets: vec![(127, 3)],
+                        },
+                    )],
+                },
+            },
+            Response::Error {
+                error: BdbmsError {
+                    code: ErrorCode::Syntax,
+                    message: "unexpected token".into(),
+                    span: Some(Span::new(7, 12)),
+                },
+                in_txn: false,
+            },
+        ]
+    }
+
+    /// `golden_requests()` framed by [`write_request`], in order.
+    const GOLDEN_REQUEST_FRAMES: [&str; 12] = [
+        "0e00000001010000000500000061646d696e",
+        "27000000022200000053454c454354204749442046524f4d2047656e65205748455245204c656e203d203f",
+        concat!(
+            "34000000030300000000000000060000000001f9ffffffffffffff02000000000000044003040000",
+            "006d7261570401056300000000000000",
+        ),
+        "1600000004090000000000000001000000010b00000000000000",
+        "0d00000005040000000000000000010000",
+        "09000000060300000000000000",
+        "09000000070400000000000000",
+        "0a0000000805000000424547494e",
+        "0a0000000905000000616c696365",
+        "010000000a",
+        "010000000b",
+        "010000000c",
+    ];
+
+    /// `golden_responses()` framed by [`write_response`], in order.
+    const GOLDEN_RESPONSE_FRAMES: [&str; 10] = [
+        "0e0000008101000000050000006264626d73",
+        "0e0000008201000000000000000200000000",
+        concat!(
+            "07010000830200000003000000474944030000004c656e010000000200000003060000004a573030",
+            "3830010b000000000000000200000000000000010000000400000047656e65080000004375726174",
+            "696f6e0c00000000000000080000003c413e783c2f413e2a00000000000000010000000000000001",
+            "020000006f6b010a0000000000000003000000000000000200000000000000010000000000000004",
+            "00000000000000010000000000000007000000000000000100000000000000050000000000000006",
+            "00000000000000e803000000000000d007000000000000b80b00000000000001000000070000006c",
+            "656e5f696478020000000100000000000000000000000000000001",
+        ),
+        "15000000840700000000000000010000000300000047494400",
+        concat!(
+            "5a00000085010000000200000003060000004a5730303830010b0000000000000002000000000000",
+            "00010000000400000047656e65080000004375726174696f6e0c00000000000000080000003c413e",
+            "783c2f413e2a0000000000000001",
+        ),
+        "020000008601",
+        "0100000087",
+        "0100000088",
+        concat!(
+            "7e00000089010000000b00000074786e2e636f6d6d69747307000000000000000100000012000000",
+            "67726f75702e6673796e635f656d615f6e737d00000000000000010000001400000077616c2e6673",
+            "796e635f6c6174656e63795f6e7303000000000000002c01000000000000010000007f0000000000",
+            "00000300000000000000",
+        ),
+        "280000008f0010000000756e657870656374656420746f6b656e0107000000000000000c0000000000000000",
+    ];
+
+    #[test]
+    fn request_frames_match_golden_bytes() {
+        let reqs = golden_requests();
+        assert_eq!(reqs.len(), GOLDEN_REQUEST_FRAMES.len());
+        for (req, want) in reqs.iter().zip(GOLDEN_REQUEST_FRAMES) {
+            let mut buf = Vec::new();
+            write_request(&mut buf, req).unwrap();
+            assert_eq!(hex(&buf), want, "format drift for {req:?}");
+            let back = read_request(&mut unhex(want).as_slice()).unwrap();
+            assert_eq!(back.as_ref(), Some(req));
+        }
+    }
+
+    #[test]
+    fn response_frames_match_golden_bytes() {
+        let resps = golden_responses();
+        assert_eq!(resps.len(), GOLDEN_RESPONSE_FRAMES.len());
+        for (resp, want) in resps.iter().zip(GOLDEN_RESPONSE_FRAMES) {
+            let mut buf = Vec::new();
+            write_response(&mut buf, resp).unwrap();
+            assert_eq!(hex(&buf), want, "format drift for {resp:?}");
+            let back = read_response(&mut unhex(want).as_slice()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{resp:?}"));
+        }
+    }
 }
