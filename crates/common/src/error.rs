@@ -146,6 +146,32 @@ pub struct BdbmsError {
     pub span: Option<Span>,
 }
 
+// The durable and wire forms.  One byte per code: the generated `match`
+// is exhaustive, so adding a code without giving it a byte is a compile
+// error.
+crate::codec_enum!(ErrorCode, "error code", {
+    0 => Syntax,
+    1 => NotFound,
+    2 => AlreadyExists,
+    3 => TypeMismatch,
+    4 => Invalid,
+    5 => Unauthorized,
+    6 => Approval,
+    7 => Dependency,
+    8 => Storage,
+    9 => Corrupt,
+    10 => Eval,
+    11 => Io,
+    12 => ParamMismatch,
+    13 => TxnState,
+});
+crate::codec_struct!(Span { start, end });
+crate::codec_struct!(BdbmsError {
+    code,
+    message,
+    span
+});
+
 impl BdbmsError {
     /// Construct an error with an explicit code.
     pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {

@@ -6,6 +6,9 @@
 
 use std::fmt;
 
+use crate::codec::{Cur, Decode, Encode};
+use crate::Result;
+
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
@@ -22,6 +25,18 @@ macro_rules! id_newtype {
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)
+            }
+        }
+
+        impl Encode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.0.encode(out);
+            }
+        }
+
+        impl Decode for $name {
+            fn decode(cur: &mut Cur<'_>) -> Result<Self> {
+                cur.get().map($name)
             }
         }
     };

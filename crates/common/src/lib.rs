@@ -19,10 +19,13 @@
 //!   and log-scale latency histograms for live observability
 //!   (docs/OBSERVABILITY.md),
 //! * [`clock::LogicalClock`] — the timestamp source for annotations,
-//!   provenance, and the content-approval log.
+//!   provenance, and the content-approval log,
+//! * [`codec`] — the one byte codec (`Encode` / `Decode`) behind WAL
+//!   records, checkpoint snapshots, and wire-protocol frames.
 
 pub mod bitmap;
 pub mod clock;
+pub mod codec;
 pub mod error;
 pub mod ids;
 pub mod metrics;

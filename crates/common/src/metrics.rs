@@ -149,6 +149,12 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
+crate::codec_struct!(HistogramSnapshot {
+    count,
+    sum,
+    buckets
+});
+
 impl HistogramSnapshot {
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -280,6 +286,12 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
+crate::codec_struct!(MetricsSnapshot {
+    counters,
+    gauges,
+    histograms
+});
+
 impl MetricsSnapshot {
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -410,7 +422,10 @@ mod tests {
         r.counter("a").inc();
         let s1 = r.snapshot();
         assert_eq!(
-            s1.counters.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
+            s1.counters
+                .iter()
+                .map(|(n, _)| n.as_str())
+                .collect::<Vec<_>>(),
             vec!["a", "z"]
         );
         r.counter("z").add(10);

@@ -1,5 +1,6 @@
 //! Relation schemas.
 
+use crate::codec::{Cur, Decode, Encode};
 use crate::error::{BdbmsError, Result};
 use crate::value::{DataType, Value};
 
@@ -22,10 +23,24 @@ impl ColumnDef {
     }
 }
 
+crate::codec_struct!(ColumnDef { name, ty });
+
 /// An ordered list of columns describing a relation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
+}
+
+impl Encode for Schema {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.columns.encode(out);
+    }
+}
+
+impl Decode for Schema {
+    fn decode(cur: &mut Cur<'_>) -> Result<Schema> {
+        Schema::new(cur.get()?).map_err(|e| BdbmsError::corrupt(e.message))
+    }
 }
 
 impl Schema {

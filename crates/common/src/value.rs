@@ -25,6 +25,15 @@ pub enum DataType {
     Timestamp,
 }
 
+// Snapshot form (table schemas); tags match the value tags of `Value::encode`.
+crate::codec_enum!(DataType, "data type", {
+    1 => Int,
+    2 => Float,
+    3 => Text,
+    4 => Bool,
+    5 => Timestamp,
+});
+
 impl DataType {
     /// Parse a SQL type name (`INT`, `FLOAT`, `TEXT`, `BOOL`, `TIMESTAMP`;
     /// a few common aliases accepted).

@@ -23,11 +23,11 @@
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
+use bdbms_common::codec::{encode_iter, Cur, Decode, Encode};
 use bdbms_common::ids::AnnotationId;
-use bdbms_common::Result;
+use bdbms_common::{BdbmsError, Result};
 use bdbms_index::rtree::{RTree, Rect};
 
-use crate::codec;
 use crate::xml::XmlNode;
 
 /// One annotation record.
@@ -46,6 +46,17 @@ pub struct Annotation {
     /// Archived annotations are kept but not propagated (§3.3).
     pub archived: bool,
 }
+
+// Checkpoint form: the body travels as its raw text, re-parsed on load.
+bdbms_common::codec_struct!(Annotation {
+    id,
+    raw: String,
+    created,
+    creator,
+    archived,
+} derive {
+    body: XmlNode::parse_or_wrap(&raw),
+});
 
 /// Attachment storage scheme.
 pub enum Scheme {
@@ -413,108 +424,54 @@ impl AnnotationSet {
     pub fn is_cell_scheme(&self) -> bool {
         matches!(self.scheme, Scheme::Cell(_))
     }
+}
 
-    // ---- durable form (checkpoint snapshots — see `crate::durability`) ----
+// ---- durable form (checkpoint snapshots — see `crate::durability`) ----
 
-    /// Serialize the whole set: annotation records (bodies as their raw
-    /// text, re-parsed on load) plus the exact attachment-scheme state.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_str(out, &self.name);
-        codec::put_bool(out, self.system_only);
-        codec::put_bool(out, self.schema_enforced);
-        codec::put_u64(out, self.next_id);
-        codec::put_u32(out, self.annotations.len() as u32);
-        for a in self.annotations.values() {
-            codec::put_u64(out, a.id.raw());
-            codec::put_str(out, &a.raw);
-            codec::put_u64(out, a.created);
-            codec::put_str(out, &a.creator);
-            codec::put_bool(out, a.archived);
-        }
-        match &self.scheme {
+// The exact attachment-scheme state: cells in (row, col) order, so the
+// bytes are deterministic; rectangles in insertion order.
+impl Encode for Scheme {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
             Scheme::Cell(s) => {
-                codec::put_u8(out, 0);
-                // deterministic order: sorted by (row, col)
-                let mut cells: Vec<(&(u64, usize), &Vec<AnnotationId>)> = s.cells.iter().collect();
-                cells.sort_by_key(|(k, _)| **k);
-                codec::put_u32(out, cells.len() as u32);
-                for ((row, col), ids) in cells {
-                    codec::put_u64(out, *row);
-                    codec::put_u32(out, *col as u32);
-                    codec::put_u32(out, ids.len() as u32);
-                    for id in ids {
-                        codec::put_u64(out, id.raw());
-                    }
-                }
+                out.push(0);
+                let mut cells: Vec<_> = s
+                    .cells
+                    .iter()
+                    .map(|(&(row, col), ids)| (row, col as u32, ids))
+                    .collect();
+                cells.sort_unstable_by_key(|&(row, col, _)| (row, col));
+                cells.encode(out);
             }
             Scheme::Rect(s) => {
-                codec::put_u8(out, 1);
-                codec::put_u32(out, s.rects.len() as u32);
-                for &(clo, chi, rlo, rhi, ann) in &s.rects {
-                    codec::put_u32(out, clo as u32);
-                    codec::put_u32(out, chi as u32);
-                    codec::put_u64(out, rlo);
-                    codec::put_u64(out, rhi);
-                    codec::put_u64(out, ann.raw());
-                }
+                out.push(1);
+                let rects = s.rects.iter();
+                encode_iter(
+                    out,
+                    rects.map(|&(clo, chi, rlo, rhi, ann)| (clo as u32, chi as u32, rlo, rhi, ann)),
+                );
             }
         }
     }
+}
 
-    /// Inverse of [`encode`](Self::encode).  Rebuilds parsed bodies and
-    /// the R-tree, reproducing the in-memory structure exactly (the
-    /// rectangle list keeps its insertion order, which the rollback
-    /// machinery's prefix-truncation relies on).
-    pub(crate) fn decode(cur: &mut codec::Cur<'_>) -> Result<AnnotationSet> {
-        let name = cur.str()?;
-        let system_only = cur.bool()?;
-        let schema_enforced = cur.bool()?;
-        let next_id = cur.u64()?;
-        let n = cur.len()?;
-        let mut annotations = BTreeMap::new();
-        for _ in 0..n {
-            let id = cur.u64()?;
-            let raw = cur.str()?;
-            let created = cur.u64()?;
-            let creator = cur.str()?;
-            let archived = cur.bool()?;
-            annotations.insert(
-                id,
-                Annotation {
-                    id: AnnotationId(id),
-                    body: XmlNode::parse_or_wrap(&raw),
-                    raw,
-                    created,
-                    creator,
-                    archived,
-                },
-            );
-        }
-        let scheme = match cur.u8()? {
+// Rebuilds the R-tree; the rectangle list keeps its insertion order,
+// which the rollback machinery's prefix-truncation relies on.
+impl Decode for Scheme {
+    fn decode(cur: &mut Cur<'_>) -> Result<Scheme> {
+        Ok(match cur.get::<u8>()? {
             0 => {
-                let n = cur.len()?;
-                let mut cells = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    let row = cur.u64()?;
-                    let col = cur.u32()? as usize;
-                    let k = cur.len()?;
-                    let mut ids = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        ids.push(AnnotationId(cur.u64()?));
-                    }
-                    cells.insert((row, col), ids);
-                }
+                let cells: Vec<(u64, u32, Vec<AnnotationId>)> = cur.get()?;
+                let cells = cells
+                    .into_iter()
+                    .map(|(row, col, ids)| ((row, col as usize), ids))
+                    .collect();
                 Scheme::Cell(CellScheme { cells })
             }
             1 => {
-                let n = cur.len()?;
                 let mut s = RectScheme::default();
-                for _ in 0..n {
-                    let clo = cur.u32()? as usize;
-                    let chi = cur.u32()? as usize;
-                    let rlo = cur.u64()?;
-                    let rhi = cur.u64()?;
-                    let ann = AnnotationId(cur.u64()?);
+                for (clo, chi, rlo, rhi, ann) in cur.get::<Vec<(u32, u32, u64, u64, _)>>()? {
+                    let (clo, chi) = (clo as usize, chi as usize);
                     let idx = s.rects.len();
                     s.rects.push((clo, chi, rlo, rhi, ann));
                     s.index.insert(
@@ -525,17 +482,39 @@ impl AnnotationSet {
                 Scheme::Rect(s)
             }
             t => {
-                return Err(bdbms_common::BdbmsError::corrupt(format!(
+                return Err(BdbmsError::corrupt(format!(
                     "unknown annotation scheme tag {t}"
                 )))
             }
-        };
+        })
+    }
+}
+
+// The whole set: header, annotation records in id order, scheme.
+impl Encode for AnnotationSet {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (
+            &self.name,
+            self.system_only,
+            self.schema_enforced,
+            self.next_id,
+        )
+            .encode(out);
+        encode_iter(out, self.annotations.values());
+        self.scheme.encode(out);
+    }
+}
+
+impl Decode for AnnotationSet {
+    fn decode(cur: &mut Cur<'_>) -> Result<AnnotationSet> {
+        let (name, system_only, schema_enforced, next_id) = cur.get()?;
+        let annotations: Vec<Annotation> = cur.get()?;
         Ok(AnnotationSet {
             name,
             system_only,
             schema_enforced,
-            annotations,
-            scheme,
+            annotations: annotations.into_iter().map(|a| (a.id.raw(), a)).collect(),
+            scheme: cur.get()?,
             next_id,
         })
     }
@@ -722,6 +701,24 @@ mod tests {
             golden_set(cell_scheme).encode(&mut out);
             let got: String = out.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(got, want, "format drift (cell_scheme = {cell_scheme})");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The codec laws for both attachment schemes and the records.
+        #[test]
+        fn annotation_sets_keep_the_codec_laws(pos in any::<u64>(), mask in 1u8..=255) {
+            for cell_scheme in [true, false] {
+                let set = golden_set(cell_scheme);
+                bdbms_common::codec::assert_codec_laws(&set, (pos, mask));
+                for a in set.iter() {
+                    bdbms_common::codec::assert_codec_laws(a, (pos, mask));
+                }
+            }
         }
     }
 }

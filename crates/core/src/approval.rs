@@ -48,6 +48,12 @@ pub enum InverseOp {
     },
 }
 
+bdbms_common::codec_enum!(InverseOp, "inverse", {
+    0 => DeleteRow { row_no },
+    1 => InsertRow { row_no, values },
+    2 => RestoreCells { row_no, old },
+});
+
 /// Status of a logged operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpStatus {
@@ -58,6 +64,12 @@ pub enum OpStatus {
     /// Disapproved: inverse was executed.
     Disapproved,
 }
+
+bdbms_common::codec_enum!(OpStatus, "op status", {
+    0 => Pending,
+    1 => Approved,
+    2 => Disapproved,
+});
 
 impl std::fmt::Display for OpStatus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -89,6 +101,16 @@ pub struct LoggedOp {
     /// Current status.
     pub status: OpStatus,
 }
+
+bdbms_common::codec_struct!(LoggedOp {
+    id,
+    table,
+    user,
+    time,
+    description,
+    inverse,
+    status,
+});
 
 /// The content-based approval manager.
 #[derive(Default)]

@@ -600,6 +600,11 @@ pub enum SeqIndexKind {
     Suffix,
 }
 
+bdbms_common::codec_enum!(SeqIndexKind, "sequence index kind", {
+    0 => Sbc,
+    1 => Suffix,
+});
+
 impl SeqIndexKind {
     /// Keyword used in SQL (`USING SBC` / `USING SUFFIX`).
     pub fn as_str(&self) -> &'static str {
@@ -619,6 +624,11 @@ pub enum CopyFormat {
     /// Tab-separated positional columns coerced to the table schema.
     Tsv,
 }
+
+bdbms_common::codec_enum!(CopyFormat, "COPY format", {
+    0 => Fasta,
+    1 => Tsv,
+});
 
 impl CopyFormat {
     /// Keyword used in SQL (`FORMAT FASTA` / `FORMAT TSV`).
@@ -645,6 +655,14 @@ pub enum Privilege {
     /// restricted to integration tools).
     Provenance,
 }
+
+bdbms_common::codec_enum!(Privilege, "privilege", {
+    0 => Select,
+    1 => Insert,
+    2 => Update,
+    3 => Delete,
+    4 => Provenance,
+});
 
 impl Privilege {
     /// Parse a privilege keyword.

@@ -254,6 +254,14 @@ pub struct DeletedRow {
     pub user: String,
 }
 
+bdbms_common::codec_struct!(DeletedRow {
+    row_no,
+    values,
+    annotation,
+    time,
+    user,
+});
+
 /// One user table.
 pub struct Table {
     /// Case-preserved name.

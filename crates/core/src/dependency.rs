@@ -59,6 +59,19 @@ pub struct DependencyRule {
     pub link: Option<(String, String)>,
 }
 
+bdbms_common::codec_struct!(DependencyRule {
+    id,
+    name,
+    src_table,
+    src_cols,
+    dst_table,
+    dst_col,
+    procedure,
+    executable,
+    invertible,
+    link,
+});
+
 impl DependencyRule {
     /// Source column references.
     pub fn srcs(&self) -> Vec<ColRef> {

@@ -59,7 +59,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bdbms_common::{BdbmsError, DataType, ErrorCode, Result, Schema, Value};
+use bdbms_common::codec::{decode_exact, encode_iter, Cur, Encode};
+use bdbms_common::{BdbmsError, ErrorCode, Result, Schema, Value};
 use bdbms_storage::wal::{GroupCommitter, SharedWal, Wal, WalScan};
 use bdbms_storage::{
     crc32, BufferPool, FaultInjector, FaultStore, FileStore, FlushGate, HeapFile, IoDecision,
@@ -69,11 +70,10 @@ use bdbms_storage::{
 pub use bdbms_storage::wal::{CommitTicket, Durability};
 
 use crate::annotation::AnnotationSet;
-use crate::approval::{ApprovalManager, InverseOp, LoggedOp, OpStatus};
+use crate::approval::{ApprovalManager, LoggedOp};
 use crate::ast::{CopyFormat, Privilege, SeqIndexKind};
 use crate::auth::AuthManager;
 use crate::catalog::{DeletedRow, Table};
-use crate::codec::{self, Cur};
 use crate::database::Database;
 use crate::dependency::DependencyRule;
 
@@ -302,652 +302,36 @@ pub(crate) enum WalRecord {
     SeqIndexDrop { table: String, index: String },
 }
 
-fn put_copy_format(out: &mut Vec<u8>, f: CopyFormat) {
-    codec::put_u8(
-        out,
-        match f {
-            CopyFormat::Fasta => 0,
-            CopyFormat::Tsv => 1,
-        },
-    );
-}
-
-fn get_copy_format(cur: &mut Cur<'_>) -> Result<CopyFormat> {
-    Ok(match cur.u8()? {
-        0 => CopyFormat::Fasta,
-        1 => CopyFormat::Tsv,
-        t => return Err(BdbmsError::corrupt(format!("unknown COPY format tag {t}"))),
-    })
-}
-
-fn put_seq_kind(out: &mut Vec<u8>, k: SeqIndexKind) {
-    codec::put_u8(
-        out,
-        match k {
-            SeqIndexKind::Sbc => 0,
-            SeqIndexKind::Suffix => 1,
-        },
-    );
-}
-
-fn get_seq_kind(cur: &mut Cur<'_>) -> Result<SeqIndexKind> {
-    Ok(match cur.u8()? {
-        0 => SeqIndexKind::Sbc,
-        1 => SeqIndexKind::Suffix,
-        t => {
-            return Err(BdbmsError::corrupt(format!(
-                "unknown sequence index kind tag {t}"
-            )))
-        }
-    })
-}
-
-fn put_datatype(out: &mut Vec<u8>, ty: DataType) {
-    codec::put_u8(
-        out,
-        match ty {
-            DataType::Int => 1,
-            DataType::Float => 2,
-            DataType::Text => 3,
-            DataType::Bool => 4,
-            DataType::Timestamp => 5,
-        },
-    );
-}
-
-fn get_datatype(cur: &mut Cur<'_>) -> Result<DataType> {
-    Ok(match cur.u8()? {
-        1 => DataType::Int,
-        2 => DataType::Float,
-        3 => DataType::Text,
-        4 => DataType::Bool,
-        5 => DataType::Timestamp,
-        t => return Err(BdbmsError::corrupt(format!("unknown data type tag {t}"))),
-    })
-}
-
-fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    codec::put_u32(out, schema.arity() as u32);
-    for c in schema.columns() {
-        codec::put_str(out, &c.name);
-        put_datatype(out, c.ty);
-    }
-}
-
-fn get_schema(cur: &mut Cur<'_>) -> Result<Schema> {
-    let n = cur.len()?;
-    let mut cols = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = cur.str()?;
-        let ty = get_datatype(cur)?;
-        cols.push(bdbms_common::ColumnDef::new(name, ty));
-    }
-    Schema::new(cols).map_err(|e| BdbmsError::corrupt(e.message().to_string()))
-}
-
-fn put_privileges(out: &mut Vec<u8>, ps: &[Privilege]) {
-    codec::put_u32(out, ps.len() as u32);
-    for p in ps {
-        codec::put_u8(
-            out,
-            match p {
-                Privilege::Select => 0,
-                Privilege::Insert => 1,
-                Privilege::Update => 2,
-                Privilege::Delete => 3,
-                Privilege::Provenance => 4,
-            },
-        );
-    }
-}
-
-fn get_privileges(cur: &mut Cur<'_>) -> Result<Vec<Privilege>> {
-    let n = cur.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match cur.u8()? {
-            0 => Privilege::Select,
-            1 => Privilege::Insert,
-            2 => Privilege::Update,
-            3 => Privilege::Delete,
-            4 => Privilege::Provenance,
-            t => return Err(BdbmsError::corrupt(format!("unknown privilege tag {t}"))),
-        });
-    }
-    Ok(out)
-}
-
-fn put_deleted_row(out: &mut Vec<u8>, row: &DeletedRow) {
-    codec::put_u64(out, row.row_no);
-    codec::put_values(out, &row.values);
-    codec::put_opt_str(out, row.annotation.as_deref());
-    codec::put_u64(out, row.time);
-    codec::put_str(out, &row.user);
-}
-
-fn get_deleted_row(cur: &mut Cur<'_>) -> Result<DeletedRow> {
-    Ok(DeletedRow {
-        row_no: cur.u64()?,
-        values: cur.values()?,
-        annotation: cur.opt_str()?,
-        time: cur.u64()?,
-        user: cur.str()?,
-    })
-}
-
-fn put_inverse(out: &mut Vec<u8>, inv: &InverseOp) {
-    match inv {
-        InverseOp::DeleteRow { row_no } => {
-            codec::put_u8(out, 0);
-            codec::put_u64(out, *row_no);
-        }
-        InverseOp::InsertRow { row_no, values } => {
-            codec::put_u8(out, 1);
-            codec::put_u64(out, *row_no);
-            codec::put_values(out, values);
-        }
-        InverseOp::RestoreCells { row_no, old } => {
-            codec::put_u8(out, 2);
-            codec::put_u64(out, *row_no);
-            codec::put_u32(out, old.len() as u32);
-            for (col, v) in old {
-                codec::put_u64(out, *col as u64);
-                codec::put_value(out, v);
-            }
-        }
-    }
-}
-
-fn get_inverse(cur: &mut Cur<'_>) -> Result<InverseOp> {
-    Ok(match cur.u8()? {
-        0 => InverseOp::DeleteRow { row_no: cur.u64()? },
-        1 => InverseOp::InsertRow {
-            row_no: cur.u64()?,
-            values: cur.values()?,
-        },
-        2 => {
-            let row_no = cur.u64()?;
-            let n = cur.len()?;
-            let mut old = Vec::with_capacity(n);
-            for _ in 0..n {
-                let col = cur.u64()? as usize;
-                old.push((col, cur.value()?));
-            }
-            InverseOp::RestoreCells { row_no, old }
-        }
-        t => return Err(BdbmsError::corrupt(format!("unknown inverse tag {t}"))),
-    })
-}
-
-fn put_status(out: &mut Vec<u8>, s: OpStatus) {
-    codec::put_u8(
-        out,
-        match s {
-            OpStatus::Pending => 0,
-            OpStatus::Approved => 1,
-            OpStatus::Disapproved => 2,
-        },
-    );
-}
-
-fn get_status(cur: &mut Cur<'_>) -> Result<OpStatus> {
-    Ok(match cur.u8()? {
-        0 => OpStatus::Pending,
-        1 => OpStatus::Approved,
-        2 => OpStatus::Disapproved,
-        t => return Err(BdbmsError::corrupt(format!("unknown op status tag {t}"))),
-    })
-}
-
-fn put_logged_op(out: &mut Vec<u8>, op: &LoggedOp) {
-    codec::put_u64(out, op.id.raw());
-    codec::put_str(out, &op.table);
-    codec::put_str(out, &op.user);
-    codec::put_u64(out, op.time);
-    codec::put_str(out, &op.description);
-    put_inverse(out, &op.inverse);
-    put_status(out, op.status);
-}
-
-fn get_logged_op(cur: &mut Cur<'_>) -> Result<LoggedOp> {
-    Ok(LoggedOp {
-        id: bdbms_common::ids::OperationId(cur.u64()?),
-        table: cur.str()?,
-        user: cur.str()?,
-        time: cur.u64()?,
-        description: cur.str()?,
-        inverse: get_inverse(cur)?,
-        status: get_status(cur)?,
-    })
-}
-
-fn put_rule(out: &mut Vec<u8>, r: &DependencyRule) {
-    codec::put_u64(out, r.id.raw());
-    codec::put_str(out, &r.name);
-    codec::put_str(out, &r.src_table);
-    codec::put_strs(out, &r.src_cols);
-    codec::put_str(out, &r.dst_table);
-    codec::put_str(out, &r.dst_col);
-    codec::put_str(out, &r.procedure);
-    codec::put_bool(out, r.executable);
-    codec::put_bool(out, r.invertible);
-    match &r.link {
-        None => codec::put_bool(out, false),
-        Some((a, b)) => {
-            codec::put_bool(out, true);
-            codec::put_str(out, a);
-            codec::put_str(out, b);
-        }
-    }
-}
-
-fn get_rule(cur: &mut Cur<'_>) -> Result<DependencyRule> {
-    Ok(DependencyRule {
-        id: bdbms_common::ids::RuleId(cur.u64()?),
-        name: cur.str()?,
-        src_table: cur.str()?,
-        src_cols: cur.strs()?,
-        dst_table: cur.str()?,
-        dst_col: cur.str()?,
-        procedure: cur.str()?,
-        executable: cur.bool()?,
-        invertible: cur.bool()?,
-        link: if cur.bool()? {
-            Some((cur.str()?, cur.str()?))
-        } else {
-            None
-        },
-    })
-}
-
-fn put_opt_strs(out: &mut Vec<u8>, v: Option<&[String]>) {
-    match v {
-        None => codec::put_bool(out, false),
-        Some(v) => {
-            codec::put_bool(out, true);
-            codec::put_strs(out, v);
-        }
-    }
-}
-
-fn get_opt_strs(cur: &mut Cur<'_>) -> Result<Option<Vec<String>>> {
-    Ok(if cur.bool()? { Some(cur.strs()?) } else { None })
-}
-
-impl WalRecord {
-    /// Serialize into `out` (tag byte + fields).
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::RowInsert {
-                table,
-                row_no,
-                values,
-            } => {
-                codec::put_u8(out, 1);
-                codec::put_str(out, table);
-                codec::put_u64(out, *row_no);
-                codec::put_values(out, values);
-            }
-            WalRecord::RowUpdate {
-                table,
-                row_no,
-                values,
-            } => {
-                codec::put_u8(out, 2);
-                codec::put_str(out, table);
-                codec::put_u64(out, *row_no);
-                codec::put_values(out, values);
-            }
-            WalRecord::RowDelete { table, row_no } => {
-                codec::put_u8(out, 3);
-                codec::put_str(out, table);
-                codec::put_u64(out, *row_no);
-            }
-            WalRecord::OutdatedMark { table, row_no, col } => {
-                codec::put_u8(out, 4);
-                codec::put_str(out, table);
-                codec::put_u64(out, *row_no);
-                codec::put_u64(out, *col);
-            }
-            WalRecord::OutdatedClear { table, row_no, col } => {
-                codec::put_u8(out, 5);
-                codec::put_str(out, table);
-                codec::put_u64(out, *row_no);
-                codec::put_u64(out, *col);
-            }
-            WalRecord::DeletedLogPush { table, row } => {
-                codec::put_u8(out, 6);
-                codec::put_str(out, table);
-                put_deleted_row(out, row);
-            }
-            WalRecord::TableCreate {
-                name,
-                owner,
-                schema,
-            } => {
-                codec::put_u8(out, 7);
-                codec::put_str(out, name);
-                codec::put_str(out, owner);
-                put_schema(out, schema);
-            }
-            WalRecord::TableDrop { name } => {
-                codec::put_u8(out, 8);
-                codec::put_str(out, name);
-            }
-            WalRecord::IndexCreate {
-                table,
-                index,
-                column,
-            } => {
-                codec::put_u8(out, 9);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
-                codec::put_str(out, column);
-            }
-            WalRecord::IndexDrop { table, index } => {
-                codec::put_u8(out, 10);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
-            }
-            WalRecord::AnnSetCreate {
-                table,
-                set,
-                cell_scheme,
-                system_only,
-                schema_enforced,
-            } => {
-                codec::put_u8(out, 11);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-                codec::put_bool(out, *cell_scheme);
-                codec::put_bool(out, *system_only);
-                codec::put_bool(out, *schema_enforced);
-            }
-            WalRecord::AnnSetDrop { table, set } => {
-                codec::put_u8(out, 12);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-            }
-            WalRecord::AnnAdd {
-                table,
-                set,
-                raw,
-                creator,
-                created,
-                rows,
-                cols,
-            } => {
-                codec::put_u8(out, 13);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-                codec::put_str(out, raw);
-                codec::put_str(out, creator);
-                codec::put_u64(out, *created);
-                codec::put_u64s(out, rows);
-                codec::put_u64s(out, cols);
-            }
-            WalRecord::AnnArchive {
-                table,
-                set,
-                cells,
-                between,
-                archived,
-            } => {
-                codec::put_u8(out, 14);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-                codec::put_u32(out, cells.len() as u32);
-                for (r, c) in cells {
-                    codec::put_u64(out, *r);
-                    codec::put_u64(out, *c);
-                }
-                match between {
-                    None => codec::put_bool(out, false),
-                    Some((lo, hi)) => {
-                        codec::put_bool(out, true);
-                        codec::put_u64(out, *lo);
-                        codec::put_u64(out, *hi);
-                    }
-                }
-                codec::put_bool(out, *archived);
-            }
-            WalRecord::UserCreate { name, groups } => {
-                codec::put_u8(out, 15);
-                codec::put_str(out, name);
-                codec::put_strs(out, groups);
-            }
-            WalRecord::Grant {
-                grantee,
-                table,
-                privileges,
-            } => {
-                codec::put_u8(out, 16);
-                codec::put_str(out, grantee);
-                codec::put_str(out, table);
-                put_privileges(out, privileges);
-            }
-            WalRecord::Revoke {
-                grantee,
-                table,
-                privileges,
-            } => {
-                codec::put_u8(out, 17);
-                codec::put_str(out, grantee);
-                codec::put_str(out, table);
-                put_privileges(out, privileges);
-            }
-            WalRecord::ApprovalStart {
-                table,
-                columns,
-                approver,
-            } => {
-                codec::put_u8(out, 18);
-                codec::put_str(out, table);
-                put_opt_strs(out, columns.as_deref());
-                codec::put_str(out, approver);
-            }
-            WalRecord::ApprovalStop { table, columns } => {
-                codec::put_u8(out, 19);
-                codec::put_str(out, table);
-                codec::put_strs(out, columns);
-            }
-            WalRecord::ApprovalLogged { op } => {
-                codec::put_u8(out, 20);
-                put_logged_op(out, op);
-            }
-            WalRecord::ApprovalDecide { id, approve } => {
-                codec::put_u8(out, 21);
-                codec::put_u64(out, *id);
-                codec::put_bool(out, *approve);
-            }
-            WalRecord::RuleAdd { rule } => {
-                codec::put_u8(out, 22);
-                put_rule(out, rule);
-            }
-            WalRecord::RuleDrop { name } => {
-                codec::put_u8(out, 23);
-                codec::put_str(out, name);
-            }
-            WalRecord::Commit { clock } => {
-                codec::put_u8(out, 24);
-                codec::put_u64(out, *clock);
-            }
-            WalRecord::BulkLoad {
-                table,
-                path,
-                format,
-                rows,
-            } => {
-                codec::put_u8(out, 25);
-                codec::put_str(out, table);
-                codec::put_str(out, path);
-                put_copy_format(out, *format);
-                codec::put_u64(out, *rows);
-            }
-            WalRecord::SeqIndexCreate {
-                table,
-                index,
-                column,
-                kind,
-            } => {
-                codec::put_u8(out, 26);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
-                codec::put_str(out, column);
-                put_seq_kind(out, *kind);
-            }
-            WalRecord::SeqIndexDrop { table, index } => {
-                codec::put_u8(out, 27);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
-            }
-        }
-    }
-
-    /// Decode one record from a WAL frame payload.
-    pub(crate) fn decode(buf: &[u8]) -> Result<WalRecord> {
-        let mut cur = Cur::new(buf);
-        let rec = match cur.u8()? {
-            1 => WalRecord::RowInsert {
-                table: cur.str()?,
-                row_no: cur.u64()?,
-                values: cur.values()?,
-            },
-            2 => WalRecord::RowUpdate {
-                table: cur.str()?,
-                row_no: cur.u64()?,
-                values: cur.values()?,
-            },
-            3 => WalRecord::RowDelete {
-                table: cur.str()?,
-                row_no: cur.u64()?,
-            },
-            4 => WalRecord::OutdatedMark {
-                table: cur.str()?,
-                row_no: cur.u64()?,
-                col: cur.u64()?,
-            },
-            5 => WalRecord::OutdatedClear {
-                table: cur.str()?,
-                row_no: cur.u64()?,
-                col: cur.u64()?,
-            },
-            6 => WalRecord::DeletedLogPush {
-                table: cur.str()?,
-                row: get_deleted_row(&mut cur)?,
-            },
-            7 => WalRecord::TableCreate {
-                name: cur.str()?,
-                owner: cur.str()?,
-                schema: get_schema(&mut cur)?,
-            },
-            8 => WalRecord::TableDrop { name: cur.str()? },
-            9 => WalRecord::IndexCreate {
-                table: cur.str()?,
-                index: cur.str()?,
-                column: cur.str()?,
-            },
-            10 => WalRecord::IndexDrop {
-                table: cur.str()?,
-                index: cur.str()?,
-            },
-            11 => WalRecord::AnnSetCreate {
-                table: cur.str()?,
-                set: cur.str()?,
-                cell_scheme: cur.bool()?,
-                system_only: cur.bool()?,
-                schema_enforced: cur.bool()?,
-            },
-            12 => WalRecord::AnnSetDrop {
-                table: cur.str()?,
-                set: cur.str()?,
-            },
-            13 => WalRecord::AnnAdd {
-                table: cur.str()?,
-                set: cur.str()?,
-                raw: cur.str()?,
-                creator: cur.str()?,
-                created: cur.u64()?,
-                rows: cur.u64s()?,
-                cols: cur.u64s()?,
-            },
-            14 => {
-                let table = cur.str()?;
-                let set = cur.str()?;
-                let n = cur.len()?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push((cur.u64()?, cur.u64()?));
-                }
-                let between = if cur.bool()? {
-                    Some((cur.u64()?, cur.u64()?))
-                } else {
-                    None
-                };
-                WalRecord::AnnArchive {
-                    table,
-                    set,
-                    cells,
-                    between,
-                    archived: cur.bool()?,
-                }
-            }
-            15 => WalRecord::UserCreate {
-                name: cur.str()?,
-                groups: cur.strs()?,
-            },
-            16 => WalRecord::Grant {
-                grantee: cur.str()?,
-                table: cur.str()?,
-                privileges: get_privileges(&mut cur)?,
-            },
-            17 => WalRecord::Revoke {
-                grantee: cur.str()?,
-                table: cur.str()?,
-                privileges: get_privileges(&mut cur)?,
-            },
-            18 => WalRecord::ApprovalStart {
-                table: cur.str()?,
-                columns: get_opt_strs(&mut cur)?,
-                approver: cur.str()?,
-            },
-            19 => WalRecord::ApprovalStop {
-                table: cur.str()?,
-                columns: cur.strs()?,
-            },
-            20 => WalRecord::ApprovalLogged {
-                op: get_logged_op(&mut cur)?,
-            },
-            21 => WalRecord::ApprovalDecide {
-                id: cur.u64()?,
-                approve: cur.bool()?,
-            },
-            22 => WalRecord::RuleAdd {
-                rule: get_rule(&mut cur)?,
-            },
-            23 => WalRecord::RuleDrop { name: cur.str()? },
-            24 => WalRecord::Commit { clock: cur.u64()? },
-            25 => WalRecord::BulkLoad {
-                table: cur.str()?,
-                path: cur.str()?,
-                format: get_copy_format(&mut cur)?,
-                rows: cur.u64()?,
-            },
-            26 => WalRecord::SeqIndexCreate {
-                table: cur.str()?,
-                index: cur.str()?,
-                column: cur.str()?,
-                kind: get_seq_kind(&mut cur)?,
-            },
-            27 => WalRecord::SeqIndexDrop {
-                table: cur.str()?,
-                index: cur.str()?,
-            },
-            t => return Err(BdbmsError::corrupt(format!("unknown WAL record tag {t}"))),
-        };
-        Ok(rec)
-    }
-}
+// The WAL encoding: a tag byte, then the variant's fields in order.
+bdbms_common::codec_enum!(WalRecord, "WAL record", {
+    1 => RowInsert { table, row_no, values },
+    2 => RowUpdate { table, row_no, values },
+    3 => RowDelete { table, row_no },
+    4 => OutdatedMark { table, row_no, col },
+    5 => OutdatedClear { table, row_no, col },
+    6 => DeletedLogPush { table, row },
+    7 => TableCreate { name, owner, schema },
+    8 => TableDrop { name },
+    9 => IndexCreate { table, index, column },
+    10 => IndexDrop { table, index },
+    11 => AnnSetCreate { table, set, cell_scheme, system_only, schema_enforced },
+    12 => AnnSetDrop { table, set },
+    13 => AnnAdd { table, set, raw, creator, created, rows, cols },
+    14 => AnnArchive { table, set, cells, between, archived },
+    15 => UserCreate { name, groups },
+    16 => Grant { grantee, table, privileges },
+    17 => Revoke { grantee, table, privileges },
+    18 => ApprovalStart { table, columns, approver },
+    19 => ApprovalStop { table, columns },
+    20 => ApprovalLogged { op },
+    21 => ApprovalDecide { id, approve },
+    22 => RuleAdd { rule },
+    23 => RuleDrop { name },
+    24 => Commit { clock },
+    25 => BulkLoad { table, path, format, rows },
+    26 => SeqIndexCreate { table, index, column, kind },
+    27 => SeqIndexDrop { table, index },
+});
 
 // ---------------------------------------------------------------------
 // Options, reports, handles
@@ -1095,99 +479,38 @@ fn encode_snapshot(
     wal_frontier: u64,
 ) -> Vec<u8> {
     let mut body = Vec::new();
-    codec::put_u64(&mut body, db.clock.now());
+    db.clock.now().encode(&mut body);
     // every WAL entry with an LSN below this is already folded into the
     // image; recovery skips them.  This is what makes the checkpoint's
     // rename → WAL-truncate sequence crash-safe: a crash between the
     // two leaves the new image + the old (pre-checkpoint) log, whose
     // entries are all below the frontier and are ignored, instead of
     // being double-applied.
-    codec::put_u64(&mut body, wal_frontier);
+    wal_frontier.encode(&mut body);
+    db.auth.snapshot().encode(&mut body);
+    db.approval.snapshot().encode(&mut body);
+    (db.deps.rules(), db.deps.next_rule_id()).encode(&mut body);
 
-    let (users, grants) = db.auth.snapshot();
-    codec::put_u32(&mut body, users.len() as u32);
-    for (user, groups) in &users {
-        codec::put_str(&mut body, user);
-        codec::put_strs(&mut body, groups);
-    }
-    codec::put_u32(&mut body, grants.len() as u32);
-    for (grantee, table, privs) in &grants {
-        codec::put_str(&mut body, grantee);
-        codec::put_str(&mut body, table);
-        put_privileges(&mut body, privs);
-    }
-
-    let (configs, log, next_op_id) = db.approval.snapshot();
-    codec::put_u32(&mut body, configs.len() as u32);
-    for (table, columns, approver) in &configs {
-        codec::put_str(&mut body, table);
-        put_opt_strs(&mut body, columns.as_deref());
-        codec::put_str(&mut body, approver);
-    }
-    codec::put_u32(&mut body, log.len() as u32);
-    for op in log {
-        put_logged_op(&mut body, op);
-    }
-    codec::put_u64(&mut body, next_op_id);
-
-    let rules = db.deps.rules();
-    codec::put_u32(&mut body, rules.len() as u32);
-    for r in rules {
-        put_rule(&mut body, r);
-    }
-    codec::put_u64(&mut body, db.deps.next_rule_id());
-
-    codec::put_u32(&mut body, moved.len() as u32);
+    (moved.len() as u32).encode(&mut body);
     for ((name, heap, rows), t) in moved.iter().zip(db.catalog.tables()) {
         debug_assert!(t.name.eq_ignore_ascii_case(name));
-        codec::put_str(&mut body, &t.name);
-        codec::put_str(&mut body, &t.owner);
-        put_schema(&mut body, &t.schema);
-        codec::put_u64(&mut body, t.peek_next_row());
-        let pages: Vec<u64> = heap.pages().iter().map(|p| p.0).collect();
-        codec::put_u64s(&mut body, &pages);
-        codec::put_u32(&mut body, rows.len() as u32);
-        for (row_no, rid) in rows {
-            codec::put_u64(&mut body, *row_no);
-            codec::put_u64(&mut body, rid.page.0);
-            codec::put_u16(&mut body, rid.slot);
-        }
-        let indexes = t.indexes();
-        codec::put_u32(&mut body, indexes.len() as u32);
-        for idx in indexes {
-            codec::put_str(&mut body, &idx.name);
-            codec::put_u32(&mut body, idx.column as u32);
-        }
-        let seq_indexes = t.seq_indexes();
-        codec::put_u32(&mut body, seq_indexes.len() as u32);
-        for sidx in seq_indexes {
-            codec::put_str(&mut body, &sidx.name);
-            codec::put_u32(&mut body, sidx.column as u32);
-            put_seq_kind(&mut body, sidx.kind);
-        }
+        (&t.name, &t.owner, &t.schema, t.peek_next_row()).encode(&mut body);
+        (heap.pages(), rows).encode(&mut body);
+        let indexes = t.indexes().iter();
+        encode_iter(&mut body, indexes.map(|i| (&i.name, i.column as u32)));
+        let seq_indexes = t.seq_indexes().iter();
+        encode_iter(
+            &mut body,
+            seq_indexes.map(|i| (&i.name, i.column as u32, i.kind)),
+        );
         // outdated bitmap, sparse
-        codec::put_u64(&mut body, t.outdated.rows() as u64);
-        codec::put_u64(&mut body, t.outdated.cols() as u64);
+        (t.outdated.rows(), t.outdated.cols()).encode(&mut body);
         let set_cells: Vec<(usize, usize)> = t.outdated.iter_set().collect();
-        codec::put_u32(&mut body, set_cells.len() as u32);
-        for (r, c) in set_cells {
-            codec::put_u64(&mut body, r as u64);
-            codec::put_u64(&mut body, c as u64);
-        }
-        codec::put_u32(&mut body, t.deleted_log.len() as u32);
-        for row in &t.deleted_log {
-            put_deleted_row(&mut body, row);
-        }
-        codec::put_u32(&mut body, t.ann_sets.len() as u32);
-        for set in &t.ann_sets {
-            set.encode(&mut body);
-        }
+        (set_cells, &t.deleted_log, &t.ann_sets).encode(&mut body);
     }
 
-    let mut out = Vec::with_capacity(body.len() + 12);
-    codec::put_u32(&mut out, FORMAT_VERSION);
-    codec::put_u32(&mut out, crc32(&body));
-    codec::put_u64(&mut out, body.len() as u64);
+    let mut out = Vec::with_capacity(body.len() + 16);
+    (FORMAT_VERSION, crc32(&body), body.len() as u64).encode(&mut out);
     out.extend_from_slice(&body);
     out
 }
@@ -1211,85 +534,42 @@ fn decode_snapshot_mode(
     mut quarantine: Option<&mut Vec<String>>,
 ) -> Result<u64> {
     let mut head = Cur::new(blob);
-    let version = head.u32()?;
+    let version: u32 = head.get()?;
     if version != FORMAT_VERSION {
         return Err(BdbmsError::corrupt(format!(
             "unsupported snapshot version {version}"
         )));
     }
-    let crc = head.u32()?;
-    let len = head.u64()? as usize;
-    let body = blob
-        .get(16..16 + len)
-        .ok_or_else(|| BdbmsError::corrupt("snapshot shorter than its declared length"))?;
+    let (crc, len): (u32, u64) = head.get()?;
+    let body = head
+        .take(len as usize)
+        .map_err(|_| BdbmsError::corrupt("snapshot shorter than its declared length"))?;
     if crc32(body) != crc {
         return Err(BdbmsError::corrupt("snapshot checksum mismatch"));
     }
     let mut cur = Cur::new(body);
 
-    db.clock.advance_to(cur.u64()?);
-    let wal_frontier = cur.u64()?;
+    db.clock.advance_to(cur.get()?);
+    let wal_frontier = cur.get()?;
+    db.auth = AuthManager::restore(cur.get()?, cur.get()?);
+    db.approval = ApprovalManager::restore(cur.get()?, cur.get()?, cur.get()?);
+    db.deps.restore(cur.get()?, cur.get()?);
 
-    let n = cur.len()?;
-    let mut users = Vec::with_capacity(n);
-    for _ in 0..n {
-        users.push((cur.str()?, cur.strs()?));
-    }
-    let n = cur.len()?;
-    let mut grants = Vec::with_capacity(n);
-    for _ in 0..n {
-        grants.push((cur.str()?, cur.str()?, get_privileges(&mut cur)?));
-    }
-    db.auth = AuthManager::restore(users, grants);
-
-    let n = cur.len()?;
-    let mut configs = Vec::with_capacity(n);
-    for _ in 0..n {
-        configs.push((cur.str()?, get_opt_strs(&mut cur)?, cur.str()?));
-    }
-    let n = cur.len()?;
-    let mut log = Vec::with_capacity(n);
-    for _ in 0..n {
-        log.push(get_logged_op(&mut cur)?);
-    }
-    let next_op_id = cur.u64()?;
-    db.approval = ApprovalManager::restore(configs, log, next_op_id);
-
-    let n = cur.len()?;
-    let mut rules = Vec::with_capacity(n);
-    for _ in 0..n {
-        rules.push(get_rule(&mut cur)?);
-    }
-    let next_rule_id = cur.u64()?;
-    db.deps.restore(rules, next_rule_id);
-
-    let n_tables = cur.len()?;
+    let n_tables = cur.count()?;
     for _ in 0..n_tables {
-        let name = cur.str()?;
-        let owner = cur.str()?;
-        let schema = get_schema(&mut cur)?;
-        let next_row = cur.u64()?;
-        let pages: Vec<PageId> = cur.u64s()?.into_iter().map(PageId).collect();
-        let n = cur.len()?;
-        let mut rows = BTreeMap::new();
-        for _ in 0..n {
-            let row_no = cur.u64()?;
-            let page = PageId(cur.u64()?);
-            let slot = cur.u16()?;
-            rows.insert(row_no, Rid { page, slot });
-        }
-        let n = cur.len()?;
-        let mut index_defs = Vec::with_capacity(n);
-        for _ in 0..n {
-            index_defs.push((cur.str()?, cur.u32()? as usize));
-        }
-        let n = cur.len()?;
-        let mut seq_index_defs = Vec::with_capacity(n);
-        for _ in 0..n {
-            seq_index_defs.push((cur.str()?, cur.u32()? as usize, get_seq_kind(&mut cur)?));
-        }
-        let bm_rows = cur.u64()? as usize;
-        let bm_cols = cur.u64()? as usize;
+        let (name, owner, schema, next_row): (String, _, _, _) = cur.get()?;
+        let (pages, rows) = cur.get()?;
+        let index_defs: Vec<(String, usize)> = cur
+            .get::<Vec<(String, u32)>>()?
+            .into_iter()
+            .map(|(name, col)| (name, col as usize))
+            .collect();
+        let seq_index_defs: Vec<(String, usize, SeqIndexKind)> = cur
+            .get::<Vec<(String, u32, SeqIndexKind)>>()?
+            .into_iter()
+            .map(|(name, col, kind)| (name, col as usize, kind))
+            .collect();
+        let (bm_rows, bm_cols): (usize, usize) = cur.get()?;
         // the dimensions drive an allocation, so cap them before trusting
         // them: a corrupt blob must not be able to overflow `rows * cols`
         // or reserve gigabytes
@@ -1302,24 +582,12 @@ fn decode_snapshot_mode(
             )));
         }
         let mut outdated = bdbms_common::bitmap::CellBitmap::new(bm_rows, bm_cols);
-        let n = cur.len()?;
-        for _ in 0..n {
-            let r = cur.u64()? as usize;
-            let c = cur.u64()? as usize;
+        let (set_cells, deleted_log, ann_sets): (Vec<(usize, usize)>, _, _) = cur.get()?;
+        for (r, c) in set_cells {
             if r >= bm_rows || c >= bm_cols {
                 return Err(BdbmsError::corrupt("outdated bit outside its bitmap"));
             }
             outdated.set(r, c);
-        }
-        let n = cur.len()?;
-        let mut deleted_log = Vec::with_capacity(n);
-        for _ in 0..n {
-            deleted_log.push(get_deleted_row(&mut cur)?);
-        }
-        let n = cur.len()?;
-        let mut ann_sets = Vec::with_capacity(n);
-        for _ in 0..n {
-            ann_sets.push(AnnotationSet::decode(&mut cur)?);
         }
         let heap = HeapFile::attach(pool.clone(), pages);
         let table = Table::from_parts(
@@ -1609,7 +877,7 @@ impl Database {
             if entry.lsn < frontier {
                 continue;
             }
-            match WalRecord::decode(&entry.payload) {
+            match decode_exact::<WalRecord>(&entry.payload) {
                 Ok(WalRecord::Commit { clock }) => {
                     for r in pending.drain(..) {
                         match self.apply_wal_record(r) {
@@ -1641,7 +909,7 @@ impl Database {
             if entry.lsn < frontier {
                 continue;
             }
-            let rec = WalRecord::decode(&entry.payload)?;
+            let rec = decode_exact::<WalRecord>(&entry.payload)?;
             if let WalRecord::Commit { clock } = rec {
                 for r in pending.drain(..) {
                     self.apply_wal_record(r).map_err(|e| {
@@ -2112,7 +1380,8 @@ impl Database {
                 if ps.group.is_none() {
                     let group = GroupCommitter::new(ps.wal.clone());
                     let gm = group.metrics();
-                    self.metrics.register_histogram("group.sizes", gm.group_sizes);
+                    self.metrics
+                        .register_histogram("group.sizes", gm.group_sizes);
                     self.metrics
                         .register_gauge("group.fsync_ema_ns", gm.fsync_ema_ns);
                     ps.group = Some(group);
@@ -2196,6 +1465,9 @@ impl Drop for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approval::{InverseOp, OpStatus};
+    use bdbms_common::codec::assert_codec_laws;
+    use bdbms_common::DataType;
 
     /// One record of every variant — shared by the roundtrip test and
     /// the mutation fuzz below.
@@ -2360,7 +1632,7 @@ mod tests {
         for rec in sample_records() {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
-            let back = WalRecord::decode(&buf).unwrap();
+            let back = decode_exact::<WalRecord>(&buf).unwrap();
             // LoggedOp/DeletedRow/DependencyRule don't implement
             // PartialEq wholesale; compare re-encodings instead
             let mut buf2 = Vec::new();
@@ -2371,12 +1643,47 @@ mod tests {
 
     #[test]
     fn wal_record_decode_rejects_garbage() {
-        assert!(WalRecord::decode(&[]).is_err());
-        assert!(WalRecord::decode(&[200]).is_err());
+        assert!(decode_exact::<WalRecord>(&[]).is_err());
+        assert!(decode_exact::<WalRecord>(&[200]).is_err());
         let mut buf = Vec::new();
         WalRecord::Commit { clock: 7 }.encode(&mut buf);
+        let whole = buf.clone();
         buf.truncate(buf.len() - 2);
-        assert!(WalRecord::decode(&buf).is_err());
+        assert!(decode_exact::<WalRecord>(&buf).is_err());
+        // one record per WAL entry: a byte after it is damage too
+        let mut longer = whole;
+        longer.push(0);
+        assert!(decode_exact::<WalRecord>(&longer).is_err());
+    }
+
+    /// Presence bytes follow one rule everywhere: 0 or 1, else Corrupt.
+    /// A damaged byte must not be read as `Some`.
+    #[test]
+    fn presence_bytes_other_than_zero_or_one_are_corrupt() {
+        // each case: a record with the option present, then without it
+        let mut pairs = Vec::new();
+        for rec in sample_records() {
+            let mut without = rec.clone();
+            match &mut without {
+                WalRecord::DeletedLogPush { row, .. } => row.annotation = None,
+                WalRecord::AnnArchive { between, .. } => *between = None,
+                WalRecord::ApprovalStart { columns, .. } => *columns = None,
+                WalRecord::RuleAdd { rule } => rule.link = None,
+                _ => continue,
+            }
+            pairs.push((rec, without));
+        }
+        assert_eq!(pairs.len(), 4);
+        for (with, without) in pairs {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            with.encode(&mut a);
+            without.encode(&mut b);
+            let at = a.iter().zip(&b).position(|(x, y)| x != y).unwrap();
+            assert_eq!((a[at], b[at]), (1, 0), "presence byte of {with:?}");
+            a[at] = 2;
+            let err = decode_exact::<WalRecord>(&a).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::Corrupt, "{with:?}");
+        }
     }
 
     use proptest::prelude::*;
@@ -2421,9 +1728,7 @@ mod tests {
 
     fn frame_body(body: &[u8]) -> Vec<u8> {
         let mut blob = Vec::with_capacity(body.len() + 16);
-        codec::put_u32(&mut blob, FORMAT_VERSION);
-        codec::put_u32(&mut blob, crc32(body));
-        codec::put_u64(&mut blob, body.len() as u64);
+        (FORMAT_VERSION, crc32(body), body.len() as u64).encode(&mut blob);
         blob.extend_from_slice(body);
         blob
     }
@@ -2443,7 +1748,7 @@ mod tests {
         fn wal_record_decode_never_panics(
             bytes in prop::collection::vec(any::<u8>(), 0..96),
         ) {
-            let _ = WalRecord::decode(&bytes);
+            let _ = decode_exact::<WalRecord>(&bytes);
         }
 
         /// Single-byte mutations of every record variant: decode may
@@ -2456,7 +1761,46 @@ mod tests {
                 rec.encode(&mut buf);
                 let pos = (pos_seed % buf.len() as u64) as usize;
                 buf[pos] ^= flip;
-                let _ = WalRecord::decode(&buf);
+                let _ = decode_exact::<WalRecord>(&buf);
+            }
+        }
+
+        /// The codec laws for every WAL record variant and every record
+        /// type a variant carries.
+        #[test]
+        fn wal_records_keep_the_codec_laws(pos in any::<u64>(), mask in 1u8..=255) {
+            let flip = (pos, mask);
+            for rec in sample_records() {
+                assert_codec_laws(&rec, flip);
+                // and every record type nested in one
+                match &rec {
+                    WalRecord::DeletedLogPush { row, .. } => assert_codec_laws(row, flip),
+                    WalRecord::TableCreate { schema, .. } => assert_codec_laws(schema, flip),
+                    WalRecord::Grant { privileges, .. } => assert_codec_laws(privileges, flip),
+                    WalRecord::ApprovalLogged { op } => assert_codec_laws(op, flip),
+                    WalRecord::RuleAdd { rule } => assert_codec_laws(rule, flip),
+                    _ => {}
+                }
+            }
+            let inverses = [
+                InverseOp::DeleteRow { row_no: pos },
+                InverseOp::InsertRow { row_no: pos, values: vec![Value::Int(2), Value::Null] },
+                InverseOp::RestoreCells { row_no: 1, old: vec![(3, Value::Text("x".into()))] },
+            ];
+            for inverse in &inverses {
+                assert_codec_laws(inverse, flip);
+            }
+            for status in [OpStatus::Pending, OpStatus::Approved, OpStatus::Disapproved] {
+                assert_codec_laws(&status, flip);
+            }
+            for p in [Privilege::Select, Privilege::Insert, Privilege::Update, Privilege::Delete, Privilege::Provenance] {
+                assert_codec_laws(&p, flip);
+            }
+            for format in [CopyFormat::Fasta, CopyFormat::Tsv] {
+                assert_codec_laws(&format, flip);
+            }
+            for kind in [SeqIndexKind::Sbc, SeqIndexKind::Suffix] {
+                assert_codec_laws(&kind, flip);
             }
         }
 

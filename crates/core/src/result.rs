@@ -28,6 +28,18 @@ pub struct AnnOut {
     pub created: u64,
 }
 
+// Wire form: the parsed body is derived state, re-derived from the raw
+// text on decode instead of shipping the tree.
+bdbms_common::codec_struct!(AnnOut {
+    source_table,
+    ann_table,
+    id,
+    raw: String,
+    created,
+} derive {
+    body: XmlNode::parse_or_wrap(&raw),
+});
+
 impl AnnOut {
     /// Flattened body text (for CONTAINS predicates and display).
     pub fn text(&self) -> String {
@@ -54,6 +66,8 @@ pub struct AnnRow {
     /// `anns[i]` = annotations attached to column `i`.
     pub anns: Vec<Vec<AnnRef>>,
 }
+
+bdbms_common::codec_struct!(AnnRow { values, anns });
 
 impl AnnRow {
     /// A row with no annotations.
@@ -105,10 +119,18 @@ pub struct QueryResult {
     pub message: Option<String>,
     /// Execution statistics for the statement, when the executing
     /// surface collects them (SELECTs run through [`crate::Database`]
-    /// one-shots and [`crate::Session`] cursors).  `None` for DML/DDL
-    /// and for results deserialized from the wire protocol.
+    /// one-shots and [`crate::Session`] cursors; the wire protocol
+    /// carries them too).  `None` for DML/DDL.
     pub stats: Option<crate::executor::ExecStats>,
 }
+
+bdbms_common::codec_struct!(QueryResult {
+    columns,
+    rows,
+    affected,
+    message,
+    stats,
+});
 
 impl QueryResult {
     /// An empty result carrying a message.
@@ -293,5 +315,43 @@ mod tests {
         assert_eq!(qr.column_values("gid").unwrap(), vec![&Value::Int(1)]);
         // no exact match: first case-insensitive hit wins
         assert_eq!(qr.column_values("Gid").unwrap(), vec![&Value::Int(1)]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The codec laws for the wire forms of results: annotation
+        /// snapshots, annotated rows, statistics, whole results.
+        #[test]
+        fn results_keep_the_codec_laws(n in any::<u64>(), pos in any::<u64>(), mask in 1u8..=255) {
+            use bdbms_common::codec::assert_codec_laws;
+
+            let flip = (pos, mask);
+            let a = ann("GAnnotation", n, "obtained from GenoBase");
+            assert_codec_laws(&a, flip);
+            let mut row = AnnRow::plain(vec![Value::Text("JW0080".into()), Value::Int(n as i64)]);
+            row.anns[1].push(a);
+            assert_codec_laws(&row, flip);
+            let stats = crate::executor::ExecStats {
+                rows_fetched: n,
+                chosen_indexes: vec!["len_idx".into()],
+                join_order: vec![1, 0],
+                exec_ns: n / 3,
+                ..Default::default()
+            };
+            assert_codec_laws(&stats, flip);
+            for (message, stats) in [(None, None), (Some("ok".to_string()), Some(stats))] {
+                let qr = QueryResult {
+                    columns: vec!["GID".into(), "Len".into()],
+                    rows: vec![row.clone(), AnnRow::plain(vec![Value::Null, Value::Null])],
+                    affected: n as usize,
+                    message,
+                    stats,
+                };
+                assert_codec_laws(&qr, flip);
+            }
+        }
     }
 }

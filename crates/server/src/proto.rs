@@ -6,28 +6,30 @@
 //! [u32 LE: length of kind + payload][u8: kind][payload bytes]
 //! ```
 //!
-//! Primitives inside payloads: integers are little-endian fixed-width;
-//! strings are `u32 length || utf8 bytes`; values reuse the storage
-//! encoding ([`Value::encode`]: `tag byte || payload`); options are a
-//! presence byte followed by the payload.  The protocol is synchronous
-//! request/response — the client writes one request frame and reads
-//! exactly one response frame (row data is paged explicitly with
-//! [`Request::Fetch`], so a large result never monopolizes the
+//! The kind byte and the payload are the message's encoding under the
+//! shared codec ([`bdbms_common::codec`]), the one WAL records and
+//! checkpoint snapshots use: integers are little-endian fixed-width,
+//! strings are `u32 length || utf8 bytes`, values reuse the storage
+//! encoding ([`Value::encode`]: `tag byte || payload`), and options are
+//! a presence byte (0 or 1) followed by the payload.  The protocol is
+//! synchronous request/response — the client writes one request frame
+//! and reads exactly one response frame (row data is paged explicitly
+//! with [`Request::Fetch`], so a large result never monopolizes the
 //! connection).
 //!
 //! Errors cross the wire losslessly: an [`Response::Error`] frame
-//! carries the [`ErrorCode`] (one byte, exhaustively mapped), the
-//! message text, and the optional byte [`Span`] into the offending SQL
-//! — a remote client reconstructs the exact [`BdbmsError`] the engine
-//! raised.  See `docs/SERVER.md` for the full frame catalog.
+//! carries the [`ErrorCode`](bdbms_common::ErrorCode) (one byte,
+//! exhaustively mapped), the message text, and the optional byte
+//! [`Span`](bdbms_common::Span) into the offending SQL — a remote
+//! client reconstructs the exact [`BdbmsError`] the engine raised.  See
+//! `docs/SERVER.md` for the full frame catalog.
 
 use std::io::{Read, Write};
 
-use bdbms_common::metrics::{HistogramSnapshot, MetricsSnapshot};
-use bdbms_common::{BdbmsError, ErrorCode, Result, Span, Value};
-use bdbms_core::executor::ExecStats;
-use bdbms_core::result::{AnnOut, AnnRow, QueryResult};
-use bdbms_core::xml::XmlNode;
+use bdbms_common::codec::{decode_exact, Cur, Decode, Encode};
+use bdbms_common::metrics::MetricsSnapshot;
+use bdbms_common::{BdbmsError, Result, Value};
+use bdbms_core::result::{AnnRow, QueryResult};
 
 /// Protocol version, negotiated in `Hello` / `HelloOk`.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -95,6 +97,43 @@ pub enum Request {
     Metrics,
 }
 
+bdbms_common::codec_enum!(Request, "request kind", {
+    K_HELLO [Version] => Hello { user },
+    K_PREPARE => Prepare { sql },
+    K_EXECUTE => Execute { stmt, params },
+    K_QUERY => Query { stmt, params },
+    K_FETCH => Fetch { cursor, max_rows },
+    K_CLOSE_STMT => CloseStmt { stmt },
+    K_CLOSE_CURSOR => CloseCursor { cursor },
+    K_RUN => Run { sql },
+    K_SET_USER => SetUser { user },
+    K_PING => Ping,
+    K_QUIT => Quit,
+    K_METRICS => Metrics,
+});
+
+/// The [`PROTOCOL_VERSION`] a `Hello` payload opens with.  Decoding any
+/// other version fails, so a mismatched client is refused at the
+/// handshake.
+struct Version;
+
+impl Encode for Version {
+    fn encode(&self, out: &mut Vec<u8>) {
+        PROTOCOL_VERSION.encode(out);
+    }
+}
+
+impl Decode for Version {
+    fn decode(cur: &mut Cur<'_>) -> Result<Self> {
+        match cur.get::<u32>()? {
+            PROTOCOL_VERSION => Ok(Version),
+            v => Err(BdbmsError::corrupt(format!(
+                "protocol version mismatch: client {v}, server {PROTOCOL_VERSION}"
+            ))),
+        }
+    }
+}
+
 /// A server→client message.
 #[derive(Debug, Clone)]
 pub enum Response {
@@ -129,6 +168,19 @@ pub enum Response {
     Error { error: BdbmsError, in_txn: bool },
 }
 
+bdbms_common::codec_enum!(Response, "response kind", {
+    K_HELLO_OK => HelloOk { version, server },
+    K_PREPARE_OK => PrepareOk { stmt, param_count, in_txn },
+    K_RESULT => Result { result, in_txn },
+    K_CURSOR_OK => CursorOk { cursor, columns, in_txn },
+    K_ROW_BATCH => RowBatch { rows, done },
+    K_OK => Ok { in_txn },
+    K_PONG => Pong,
+    K_BYE => Bye,
+    K_METRICS_OK => Metrics { snapshot },
+    K_ERROR => Error { error, in_txn },
+});
+
 impl Response {
     /// The explicit-transaction flag piggybacked on this response, when
     /// it carries one (clients mirror it into their prompt state).
@@ -144,409 +196,29 @@ impl Response {
     }
 }
 
-// ---- error-code mapping (exhaustive both ways) ----
-
-/// One wire byte per [`ErrorCode`] variant.  `match` on the full enum:
-/// adding a code without extending the protocol is a compile error.
-pub fn error_code_to_wire(code: ErrorCode) -> u8 {
-    match code {
-        ErrorCode::Syntax => 0,
-        ErrorCode::NotFound => 1,
-        ErrorCode::AlreadyExists => 2,
-        ErrorCode::TypeMismatch => 3,
-        ErrorCode::Invalid => 4,
-        ErrorCode::Unauthorized => 5,
-        ErrorCode::Approval => 6,
-        ErrorCode::Dependency => 7,
-        ErrorCode::Storage => 8,
-        ErrorCode::Corrupt => 9,
-        ErrorCode::Eval => 10,
-        ErrorCode::Io => 11,
-        ErrorCode::ParamMismatch => 12,
-        ErrorCode::TxnState => 13,
-    }
-}
-
-/// Inverse of [`error_code_to_wire`].
-pub fn error_code_from_wire(byte: u8) -> Result<ErrorCode> {
-    Ok(match byte {
-        0 => ErrorCode::Syntax,
-        1 => ErrorCode::NotFound,
-        2 => ErrorCode::AlreadyExists,
-        3 => ErrorCode::TypeMismatch,
-        4 => ErrorCode::Invalid,
-        5 => ErrorCode::Unauthorized,
-        6 => ErrorCode::Approval,
-        7 => ErrorCode::Dependency,
-        8 => ErrorCode::Storage,
-        9 => ErrorCode::Corrupt,
-        10 => ErrorCode::Eval,
-        11 => ErrorCode::Io,
-        12 => ErrorCode::ParamMismatch,
-        13 => ErrorCode::TxnState,
-        b => return Err(bad(format!("unknown error code byte {b}"))),
-    })
-}
-
 fn bad(m: impl Into<String>) -> BdbmsError {
     BdbmsError::corrupt(format!("wire protocol: {}", m.into()))
 }
 
-// ---- payload primitives ----
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(b as u8);
-}
-
-fn put_values(out: &mut Vec<u8>, vs: &[Value]) {
-    put_u32(out, vs.len() as u32);
-    for v in vs {
-        v.encode(out);
-    }
-}
-
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| bad("truncated frame"))?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bool(&mut self) -> Result<bool> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let s = std::str::from_utf8(self.take(n)?).map_err(|_| bad("invalid utf8 in string"))?;
-        Ok(s.to_string())
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(Value::decode(self.buf, &mut self.pos)?);
-        }
-        Ok(out)
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(bad("trailing bytes in frame"));
-        }
-        Ok(())
-    }
-}
-
-// ---- row / result encoding ----
-
-fn put_ann(out: &mut Vec<u8>, ann: &AnnOut) {
-    put_str(out, &ann.source_table);
-    put_str(out, &ann.ann_table);
-    put_u64(out, ann.id);
-    put_str(out, &ann.raw);
-    put_u64(out, ann.created);
-}
-
-fn get_ann(c: &mut Cur<'_>) -> Result<AnnOut> {
-    let source_table = c.str()?;
-    let ann_table = c.str()?;
-    let id = c.u64()?;
-    let raw = c.str()?;
-    let created = c.u64()?;
-    // the parsed body is derived state — re-derive it client-side from
-    // the raw text instead of shipping the tree
-    let body = XmlNode::parse_or_wrap(&raw);
-    Ok(AnnOut {
-        source_table,
-        ann_table,
-        id,
-        raw,
-        body,
-        created,
-    })
-}
-
-fn put_row(out: &mut Vec<u8>, row: &AnnRow) {
-    put_values(out, &row.values);
-    put_u32(out, row.anns.len() as u32);
-    for col in &row.anns {
-        put_u32(out, col.len() as u32);
-        for ann in col {
-            put_ann(out, ann);
-        }
-    }
-}
-
-fn get_row(c: &mut Cur<'_>) -> Result<AnnRow> {
-    let values = c.values()?;
-    let ncols = c.u32()? as usize;
-    let mut anns = Vec::with_capacity(ncols.min(1024));
-    for _ in 0..ncols {
-        let n = c.u32()? as usize;
-        let mut col = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            col.push(std::rc::Rc::new(get_ann(c)?));
-        }
-        anns.push(col);
-    }
-    Ok(AnnRow { values, anns })
-}
-
-/// Executor counters, shipped with every `Result` frame so remote
-/// clients see exactly what a local [`Session`](bdbms_core::Session)
-/// reports (the local-vs-remote parity test pins this).
-fn put_stats(out: &mut Vec<u8>, st: &ExecStats) {
-    put_u64(out, st.rows_fetched);
-    put_u64(out, st.rows_scan_filtered);
-    put_u64(out, st.index_probes);
-    put_u64(out, st.seq_index_probes);
-    put_u64(out, st.full_scans);
-    put_u64(out, st.index_only_scans);
-    put_u64(out, st.anns_attached);
-    put_u64(out, st.limit_pushdowns);
-    put_u64(out, st.rows_limit_discarded);
-    put_u64(out, st.scan_batches);
-    put_u64(out, st.parse_ns);
-    put_u64(out, st.plan_ns);
-    put_u64(out, st.exec_ns);
-    put_u32(out, st.chosen_indexes.len() as u32);
-    for ix in &st.chosen_indexes {
-        put_str(out, ix);
-    }
-    put_u32(out, st.join_order.len() as u32);
-    for pos in &st.join_order {
-        put_u64(out, *pos as u64);
-    }
-}
-
-fn get_stats(c: &mut Cur<'_>) -> Result<ExecStats> {
-    let mut st = ExecStats {
-        rows_fetched: c.u64()?,
-        rows_scan_filtered: c.u64()?,
-        index_probes: c.u64()?,
-        seq_index_probes: c.u64()?,
-        full_scans: c.u64()?,
-        index_only_scans: c.u64()?,
-        anns_attached: c.u64()?,
-        limit_pushdowns: c.u64()?,
-        rows_limit_discarded: c.u64()?,
-        scan_batches: c.u64()?,
-        parse_ns: c.u64()?,
-        plan_ns: c.u64()?,
-        exec_ns: c.u64()?,
-        ..Default::default()
-    };
-    let n = c.u32()? as usize;
-    st.chosen_indexes = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        st.chosen_indexes.push(c.str()?);
-    }
-    let n = c.u32()? as usize;
-    st.join_order = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        st.join_order.push(c.u64()? as usize);
-    }
-    Ok(st)
-}
-
-fn put_result(out: &mut Vec<u8>, r: &QueryResult) {
-    put_u32(out, r.columns.len() as u32);
-    for c in &r.columns {
-        put_str(out, c);
-    }
-    put_u32(out, r.rows.len() as u32);
-    for row in &r.rows {
-        put_row(out, row);
-    }
-    put_u64(out, r.affected as u64);
-    match &r.message {
-        None => out.push(0),
-        Some(m) => {
-            out.push(1);
-            put_str(out, m);
-        }
-    }
-    match &r.stats {
-        None => out.push(0),
-        Some(st) => {
-            out.push(1);
-            put_stats(out, st);
-        }
-    }
-}
-
-fn get_result(c: &mut Cur<'_>) -> Result<QueryResult> {
-    let ncols = c.u32()? as usize;
-    let mut columns = Vec::with_capacity(ncols.min(1024));
-    for _ in 0..ncols {
-        columns.push(c.str()?);
-    }
-    let nrows = c.u32()? as usize;
-    let mut rows = Vec::with_capacity(nrows.min(1024));
-    for _ in 0..nrows {
-        rows.push(get_row(c)?);
-    }
-    let affected = c.u64()? as usize;
-    let message = match c.u8()? {
-        0 => None,
-        1 => Some(c.str()?),
-        _ => return Err(bad("bad option tag")),
-    };
-    let stats = match c.u8()? {
-        0 => None,
-        1 => Some(get_stats(c)?),
-        _ => return Err(bad("bad option tag")),
-    };
-    Ok(QueryResult {
-        columns,
-        rows,
-        affected,
-        message,
-        stats,
-    })
-}
-
-fn put_snapshot(out: &mut Vec<u8>, s: &MetricsSnapshot) {
-    put_u32(out, s.counters.len() as u32);
-    for (n, v) in &s.counters {
-        put_str(out, n);
-        put_u64(out, *v);
-    }
-    put_u32(out, s.gauges.len() as u32);
-    for (n, v) in &s.gauges {
-        put_str(out, n);
-        put_u64(out, *v);
-    }
-    put_u32(out, s.histograms.len() as u32);
-    for (n, h) in &s.histograms {
-        put_str(out, n);
-        put_u64(out, h.count);
-        put_u64(out, h.sum);
-        put_u32(out, h.buckets.len() as u32);
-        for (bound, count) in &h.buckets {
-            put_u64(out, *bound);
-            put_u64(out, *count);
-        }
-    }
-}
-
-fn get_snapshot(c: &mut Cur<'_>) -> Result<MetricsSnapshot> {
-    let n = c.u32()? as usize;
-    let mut counters = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        counters.push((c.str()?, c.u64()?));
-    }
-    let n = c.u32()? as usize;
-    let mut gauges = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        gauges.push((c.str()?, c.u64()?));
-    }
-    let n = c.u32()? as usize;
-    let mut histograms = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = c.str()?;
-        let count = c.u64()?;
-        let sum = c.u64()?;
-        let nb = c.u32()? as usize;
-        let mut buckets = Vec::with_capacity(nb.min(1024));
-        for _ in 0..nb {
-            buckets.push((c.u64()?, c.u64()?));
-        }
-        histograms.push((name, HistogramSnapshot { count, sum, buckets }));
-    }
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
-fn put_error(out: &mut Vec<u8>, e: &BdbmsError) {
-    out.push(error_code_to_wire(e.code));
-    put_str(out, &e.message);
-    match e.span {
-        None => out.push(0),
-        Some(Span { start, end }) => {
-            out.push(1);
-            put_u64(out, start as u64);
-            put_u64(out, end as u64);
-        }
-    }
-}
-
-fn get_error(c: &mut Cur<'_>) -> Result<BdbmsError> {
-    let code = error_code_from_wire(c.u8()?)?;
-    let message = c.str()?;
-    let span = match c.u8()? {
-        0 => None,
-        1 => {
-            let start = c.u64()? as usize;
-            let end = c.u64()? as usize;
-            Some(Span::new(start, end))
-        }
-        _ => return Err(bad("bad option tag")),
-    };
-    Ok(BdbmsError {
-        code,
-        message,
-        span,
-    })
-}
-
 // ---- framing ----
 
-fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<()> {
-    let len = 1 + payload.len() as u32;
-    if len > MAX_FRAME {
+/// Write `msg` as one frame — length prefix, kind byte, payload — in a
+/// single write.
+fn write_frame(w: &mut impl Write, msg: &impl Encode) -> Result<()> {
+    let mut buf = vec![0u8; 4];
+    msg.encode(&mut buf);
+    let len = buf.len() - 4;
+    if len > MAX_FRAME as usize {
         return Err(bad(format!("frame too large ({len} bytes)")));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(payload)?;
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&buf)?;
     Ok(())
 }
 
-/// Read one raw frame.  `Ok(None)` = clean EOF at a frame boundary.
-fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
+/// Read one frame and decode its kind byte and payload as a `T`.
+/// `Ok(None)` = clean EOF at a frame boundary.
+fn read_frame<T: Decode>(r: &mut impl Read) -> Result<Option<T>> {
     let mut lenb = [0u8; 4];
     // distinguish clean EOF (no bytes at all) from a torn frame
     match r.read(&mut lenb)? {
@@ -559,233 +231,39 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    let kind = body[0];
-    body.remove(0);
-    Ok(Some((kind, body)))
+    decode_exact(&body).map(Some).map_err(|e| bad(e.message))
 }
 
 /// Write one request frame (caller flushes the stream).
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
-    let mut p = Vec::new();
-    let kind = match req {
-        Request::Hello { user } => {
-            put_u32(&mut p, PROTOCOL_VERSION);
-            put_str(&mut p, user);
-            K_HELLO
-        }
-        Request::Prepare { sql } => {
-            put_str(&mut p, sql);
-            K_PREPARE
-        }
-        Request::Execute { stmt, params } => {
-            put_u64(&mut p, *stmt);
-            put_values(&mut p, params);
-            K_EXECUTE
-        }
-        Request::Query { stmt, params } => {
-            put_u64(&mut p, *stmt);
-            put_values(&mut p, params);
-            K_QUERY
-        }
-        Request::Fetch { cursor, max_rows } => {
-            put_u64(&mut p, *cursor);
-            put_u32(&mut p, *max_rows);
-            K_FETCH
-        }
-        Request::CloseStmt { stmt } => {
-            put_u64(&mut p, *stmt);
-            K_CLOSE_STMT
-        }
-        Request::CloseCursor { cursor } => {
-            put_u64(&mut p, *cursor);
-            K_CLOSE_CURSOR
-        }
-        Request::Run { sql } => {
-            put_str(&mut p, sql);
-            K_RUN
-        }
-        Request::SetUser { user } => {
-            put_str(&mut p, user);
-            K_SET_USER
-        }
-        Request::Ping => K_PING,
-        Request::Quit => K_QUIT,
-        Request::Metrics => K_METRICS,
-    };
-    write_frame(w, kind, &p)
+    write_frame(w, req)
 }
 
 /// Read one request frame.  `Ok(None)` = the peer closed cleanly.
 pub fn read_request(r: &mut impl Read) -> Result<Option<Request>> {
-    let Some((kind, body)) = read_frame(r)? else {
-        return Ok(None);
-    };
-    let mut c = Cur::new(&body);
-    let req = match kind {
-        K_HELLO => {
-            let version = c.u32()?;
-            if version != PROTOCOL_VERSION {
-                return Err(bad(format!(
-                    "protocol version mismatch: client {version}, server {PROTOCOL_VERSION}"
-                )));
-            }
-            Request::Hello { user: c.str()? }
-        }
-        K_PREPARE => Request::Prepare { sql: c.str()? },
-        K_EXECUTE => Request::Execute {
-            stmt: c.u64()?,
-            params: c.values()?,
-        },
-        K_QUERY => Request::Query {
-            stmt: c.u64()?,
-            params: c.values()?,
-        },
-        K_FETCH => Request::Fetch {
-            cursor: c.u64()?,
-            max_rows: c.u32()?,
-        },
-        K_CLOSE_STMT => Request::CloseStmt { stmt: c.u64()? },
-        K_CLOSE_CURSOR => Request::CloseCursor { cursor: c.u64()? },
-        K_RUN => Request::Run { sql: c.str()? },
-        K_SET_USER => Request::SetUser { user: c.str()? },
-        K_PING => Request::Ping,
-        K_QUIT => Request::Quit,
-        K_METRICS => Request::Metrics,
-        k => return Err(bad(format!("unknown request kind {k:#x}"))),
-    };
-    c.done()?;
-    Ok(Some(req))
+    read_frame(r)
 }
 
 /// Write one response frame (caller flushes the stream).
 pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
-    let mut p = Vec::new();
-    let kind = match resp {
-        Response::HelloOk { version, server } => {
-            put_u32(&mut p, *version);
-            put_str(&mut p, server);
-            K_HELLO_OK
-        }
-        Response::PrepareOk {
-            stmt,
-            param_count,
-            in_txn,
-        } => {
-            put_u64(&mut p, *stmt);
-            put_u32(&mut p, *param_count);
-            put_bool(&mut p, *in_txn);
-            K_PREPARE_OK
-        }
-        Response::Result { result, in_txn } => {
-            put_result(&mut p, result);
-            put_bool(&mut p, *in_txn);
-            K_RESULT
-        }
-        Response::CursorOk {
-            cursor,
-            columns,
-            in_txn,
-        } => {
-            put_u64(&mut p, *cursor);
-            put_u32(&mut p, columns.len() as u32);
-            for col in columns {
-                put_str(&mut p, col);
-            }
-            put_bool(&mut p, *in_txn);
-            K_CURSOR_OK
-        }
-        Response::RowBatch { rows, done } => {
-            put_u32(&mut p, rows.len() as u32);
-            for row in rows {
-                put_row(&mut p, row);
-            }
-            put_bool(&mut p, *done);
-            K_ROW_BATCH
-        }
-        Response::Ok { in_txn } => {
-            put_bool(&mut p, *in_txn);
-            K_OK
-        }
-        Response::Pong => K_PONG,
-        Response::Bye => K_BYE,
-        Response::Metrics { snapshot } => {
-            put_snapshot(&mut p, snapshot);
-            K_METRICS_OK
-        }
-        Response::Error { error, in_txn } => {
-            put_error(&mut p, error);
-            put_bool(&mut p, *in_txn);
-            K_ERROR
-        }
-    };
-    write_frame(w, kind, &p)
+    write_frame(w, resp)
 }
 
 /// Read one response frame.  EOF is an error here — the server must
 /// answer every request (a vanished server mid-commit is precisely the
 /// unknown-outcome case clients must see loudly).
 pub fn read_response(r: &mut impl Read) -> Result<Response> {
-    let Some((kind, body)) = read_frame(r)? else {
-        return Err(BdbmsError::io("connection closed by server"));
-    };
-    let mut c = Cur::new(&body);
-    let resp = match kind {
-        K_HELLO_OK => Response::HelloOk {
-            version: c.u32()?,
-            server: c.str()?,
-        },
-        K_PREPARE_OK => Response::PrepareOk {
-            stmt: c.u64()?,
-            param_count: c.u32()?,
-            in_txn: c.bool()?,
-        },
-        K_RESULT => Response::Result {
-            result: get_result(&mut c)?,
-            in_txn: c.bool()?,
-        },
-        K_CURSOR_OK => {
-            let cursor = c.u64()?;
-            let n = c.u32()? as usize;
-            let mut columns = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                columns.push(c.str()?);
-            }
-            Response::CursorOk {
-                cursor,
-                columns,
-                in_txn: c.bool()?,
-            }
-        }
-        K_ROW_BATCH => {
-            let n = c.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                rows.push(get_row(&mut c)?);
-            }
-            Response::RowBatch {
-                rows,
-                done: c.bool()?,
-            }
-        }
-        K_OK => Response::Ok { in_txn: c.bool()? },
-        K_PONG => Response::Pong,
-        K_BYE => Response::Bye,
-        K_METRICS_OK => Response::Metrics {
-            snapshot: get_snapshot(&mut c)?,
-        },
-        K_ERROR => Response::Error {
-            error: get_error(&mut c)?,
-            in_txn: c.bool()?,
-        },
-        k => return Err(bad(format!("unknown response kind {k:#x}"))),
-    };
-    c.done()?;
-    Ok(resp)
+    read_frame(r)?.ok_or_else(|| BdbmsError::io("connection closed by server"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdbms_common::metrics::HistogramSnapshot;
+    use bdbms_common::{ErrorCode, Span};
+    use bdbms_core::executor::ExecStats;
+    use bdbms_core::result::AnnOut;
+    use bdbms_core::xml::XmlNode;
     use std::rc::Rc;
 
     fn roundtrip_req(req: Request) {
@@ -989,8 +467,10 @@ mod tests {
     fn every_error_code_round_trips() {
         for (i, code) in ErrorCode::ALL.into_iter().enumerate() {
             // wire bytes are stable and distinct
-            assert_eq!(error_code_to_wire(code), i as u8);
-            assert_eq!(error_code_from_wire(i as u8).unwrap(), code);
+            let mut byte = Vec::new();
+            code.encode(&mut byte);
+            assert_eq!(byte, [i as u8]);
+            assert_eq!(decode_exact::<ErrorCode>(&byte).unwrap(), code);
 
             for span in [None, Some(Span::new(7, 19))] {
                 let error = BdbmsError {
@@ -1013,7 +493,27 @@ mod tests {
                 assert!(in_txn);
             }
         }
-        assert!(error_code_from_wire(14).is_err());
+        assert!(decode_exact::<ErrorCode>(&[14]).is_err());
+    }
+
+    /// A malformed value inside a frame is Corrupt like every other
+    /// malformed frame, although the value decoder itself (shared with
+    /// the heap) reports Storage.
+    #[test]
+    fn malformed_values_in_frames_are_corrupt() {
+        let mut frame = Vec::new();
+        let params = vec![Value::Text("abc".into())];
+        write_request(&mut frame, &Request::Execute { stmt: 1, params }).unwrap();
+        let mut bad_utf8 = frame.clone();
+        let n = bad_utf8.len();
+        bad_utf8[n - 3] = 0xff;
+        // one byte short of its text, with a length prefix to match
+        let mut short = frame[..n - 1].to_vec();
+        short[..4].copy_from_slice(&(n as u32 - 5).to_le_bytes());
+        for bytes in [bad_utf8, short] {
+            let err = read_request(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::Corrupt, "{err}");
+        }
     }
 
     #[test]
@@ -1261,6 +761,21 @@ mod tests {
             assert_eq!(hex(&buf), want, "format drift for {resp:?}");
             let back = read_response(&mut unhex(want).as_slice()).unwrap();
             assert_eq!(format!("{back:?}"), format!("{resp:?}"));
+        }
+    }
+
+    /// The codec laws for one message of every kind, under 64 byte flips
+    /// spread over each encoding.
+    #[test]
+    fn messages_keep_the_codec_laws() {
+        for i in 0..64u64 {
+            let flip = (i * 37, (i as u8).wrapping_mul(29) | 1);
+            for req in golden_requests() {
+                bdbms_common::codec::assert_codec_laws(&req, flip);
+            }
+            for resp in golden_responses() {
+                bdbms_common::codec::assert_codec_laws(&resp, flip);
+            }
         }
     }
 }

@@ -22,6 +22,8 @@ pub struct Rid {
     pub slot: u16,
 }
 
+bdbms_common::codec_struct!(Rid { page, slot });
+
 impl std::fmt::Display for Rid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}:{}", self.page, self.slot)
@@ -449,5 +451,26 @@ mod tests {
         // 2000 × (11+4+slot 4) ≈ 38 KB → should stay under 10 pages
         assert!(f.num_pages() <= 10, "pages = {}", f.num_pages());
         assert_eq!(f.scan().unwrap().len(), 2000);
+    }
+
+    #[test]
+    fn record_ids_keep_the_codec_laws() {
+        for (i, rid) in [
+            Rid {
+                page: PageId(0),
+                slot: 0,
+            },
+            Rid {
+                page: PageId(u64::MAX),
+                slot: 513,
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let flip = (i as u64 * 7, 0x5a);
+            bdbms_common::codec::assert_codec_laws(&rid, flip);
+            bdbms_common::codec::assert_codec_laws(&rid.page, flip);
+        }
     }
 }

@@ -8,6 +8,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use bdbms_common::codec::{Cur, Decode, Encode};
 use bdbms_common::{BdbmsError, Result};
 
 use crate::wal::crc32;
@@ -57,6 +58,18 @@ pub fn verify_page_checksum(page: &[u8]) -> bool {
 /// Identifies a page within a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
+
+impl Encode for PageId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+}
+
+impl Decode for PageId {
+    fn decode(cur: &mut Cur<'_>) -> Result<Self> {
+        cur.get().map(PageId)
+    }
+}
 
 impl std::fmt::Display for PageId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -393,7 +393,9 @@ impl Wal {
         self.metrics.fsyncs.inc();
         let started = std::time::Instant::now();
         let r = f.sync_all();
-        self.metrics.fsync_latency_ns.record_duration(started.elapsed());
+        self.metrics
+            .fsync_latency_ns
+            .record_duration(started.elapsed());
         r
     }
 
@@ -866,9 +868,9 @@ pub struct GroupCommitter {
 
 /// The flusher's observability instruments: the group-size distribution
 /// and the live fsync-cost EMA that drives the adaptive gather window.
-/// These used to be locals inside [`GroupCommitter::flush_loop`]; the
-/// registry export makes e14's commits-per-fsync claim observable on a
-/// live server.
+/// These used to be locals inside the private flusher loop
+/// (`GroupCommitter::flush_loop`); the registry export makes e14's
+/// commits-per-fsync claim observable on a live server.
 #[derive(Debug, Clone, Default)]
 pub struct GroupCommitMetrics {
     /// Commits carried per flush round.
